@@ -9,7 +9,7 @@
 
 use phelps::sim::{Mode, PhelpsFeatures};
 use phelps_bench::runner::{parse_cli, Experiment, MatrixResults};
-use phelps_bench::{pct, print_table};
+use phelps_bench::{exp_config, pct, print_table};
 use phelps_uarch::config::CoreConfig;
 use phelps_uarch::stats::speedup;
 use phelps_workloads::graph::GraphKind;
@@ -50,39 +50,25 @@ fn main() {
     // (a1) Window-size sweep; (a2) pipeline-depth sweep.
     for name in BENCHES {
         let make = move || suite::gap_workload(name).expect("known workload").cpu;
-        for rob in [316u32, 632, 1024] {
-            let core = CoreConfig::paper_default().with_window(rob);
-            exp.core_cell(
-                name,
-                &format!("base@rob{rob}"),
-                Mode::Baseline,
-                core.clone(),
-                make,
-            );
-            exp.core_cell(
-                name,
-                &format!("phelps@rob{rob}"),
-                Mode::Phelps(PhelpsFeatures::full()),
-                core,
-                make,
-            );
-        }
-        for depth in [11u32, 15, 19] {
+        let windows = [316u32, 632, 1024].map(|rob| {
+            (
+                format!("rob{rob}"),
+                CoreConfig::paper_default().with_window(rob),
+            )
+        });
+        let depths = [11u32, 15, 19].map(|depth| {
             let core = CoreConfig::paper_default().with_pipeline_stages(depth);
-            exp.core_cell(
-                name,
-                &format!("base@depth{depth}"),
-                Mode::Baseline,
-                core.clone(),
-                make,
-            );
-            exp.core_cell(
-                name,
-                &format!("phelps@depth{depth}"),
-                Mode::Phelps(PhelpsFeatures::full()),
-                core,
-                make,
-            );
+            (format!("depth{depth}"), core)
+        });
+        for (tag, core) in windows.into_iter().chain(depths) {
+            for (prefix, mode) in [
+                ("base", Mode::Baseline),
+                ("phelps", Mode::Phelps(PhelpsFeatures::full())),
+            ] {
+                let mut cfg = exp_config(mode);
+                cfg.core = core.clone();
+                exp.cfg_cell(name, &format!("{prefix}@{tag}"), cfg, make);
+            }
         }
     }
 

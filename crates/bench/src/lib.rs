@@ -43,10 +43,9 @@ pub mod runner;
 pub mod shard;
 pub mod trace;
 
-use phelps::sim::{simulate, simulate_warmed, Mode, PhelpsFeatures, RunConfig, SimResult};
-use phelps_isa::{Cpu, EmuError};
-use phelps_runahead::{simulate_runahead, BrVariant};
-use phelps_uarch::config::CoreConfig;
+use phelps::sim::{Mode, PhelpsFeatures, RunConfig, SimResult};
+use phelps_isa::Cpu;
+use phelps_runahead::BrVariant;
 
 /// Emits `warning: <msg>` once per process per environment-variable
 /// name — the `PHELPS_PROXY` convention generalized, so a bad value in a
@@ -144,7 +143,7 @@ pub fn proxy_model_path() -> std::path::PathBuf {
 
 /// Worker-thread count: `PHELPS_JOBS`, defaulting to the machine's
 /// available parallelism. One knob bounds both the runner's cell pool
-/// and the shard pool ([`shard`], [`run_simpoints`]); it is pure
+/// and the shard pool ([`shard`], [`run_simpoints_with`]); it is pure
 /// execution parallelism and never changes any result byte.
 pub fn resolved_jobs() -> usize {
     let default = || {
@@ -175,78 +174,12 @@ pub fn resolved_jobs() -> usize {
     }
 }
 
-/// A named list of workload constructors, the shape every figNN binary
-/// iterates over.
-pub type WorkloadSet = Vec<(&'static str, Box<dyn Fn() -> phelps_workloads::Workload>)>;
-
-/// A named list of simulation thunks (workload × mode already bound).
-pub type ConfigSet = Vec<(&'static str, Box<dyn Fn() -> SimResult>)>;
-
 /// The scaled run configuration shared by all experiments.
 pub fn exp_config(mode: Mode) -> RunConfig {
     RunConfig::quick(mode, region_len(), epoch_len())
 }
 
-/// Runs one workload in one mode. Telemetry installation and trace
-/// output are owned by the [`runner`]; calling this directly simulates
-/// under whatever registry (if any) the caller installed.
-pub fn run(cpu: Cpu, mode: Mode) -> SimResult {
-    simulate(cpu, &exp_config(mode))
-}
-
-/// Runs one workload with a custom core configuration.
-pub fn run_with_core(cpu: Cpu, mode: Mode, core: CoreConfig) -> SimResult {
-    let mut cfg = exp_config(mode);
-    cfg.core = core;
-    simulate(cpu, &cfg)
-}
-
-/// Runs one workload under a Branch Runahead variant.
-pub fn run_br(cpu: Cpu, variant: BrVariant) -> SimResult {
-    simulate_runahead(cpu, &exp_config(Mode::Baseline), variant)
-}
-
-/// Positions the CPU at retired-instruction offset `skip`, then simulates
-/// a region of `region_len()` instructions in `mode` (the SimPoint
-/// methodology: timing starts at the representative region's offset).
-///
-/// The pre-region skip goes through the checkpoint store keyed by
-/// `label` (see [`ckpt_support`]): the first run fast-forwards
-/// functionally and saves a checkpoint; later runs — under any mode —
-/// restore it in O(resident pages). With `PHELPS_CKPT_WARM=W` the last W
-/// pre-region instructions functionally warm the caches and branch
-/// predictor; W=0 (the default) is bit-identical to a cold fast-forward.
-///
-/// Fails when the functional fast-forward itself faults (bad region
-/// offset, workload shorter than `skip`).
-pub fn run_region(label: &str, cpu: Cpu, skip: u64, mode: Mode) -> Result<SimResult, EmuError> {
-    let (cpu, warm) = ckpt_support::region_cpu(label, cpu, skip)?;
-    Ok(simulate_warmed(cpu, &exp_config(mode), &warm))
-}
-
-/// Simulates one SimPoint region of `label`, warning (and returning
-/// `None`) when the pre-region skip faults — the shared policy for every
-/// SimPoint driver, so a bad region offset degrades to a skipped point
-/// everywhere instead of aborting the whole evaluation.
-pub fn run_simpoint_region(
-    label: &str,
-    cpu: Cpu,
-    p: &phelps_workloads::simpoints::SimPoint,
-    mode: Mode,
-) -> Option<SimResult> {
-    match run_region(label, cpu, p.start_inst, mode) {
-        Ok(r) => Some(r),
-        Err(e) => {
-            eprintln!(
-                "warning: skipping simpoint at inst {} (weight {:.3}): fast-forward failed: {e}",
-                p.start_inst, p.weight
-            );
-            None
-        }
-    }
-}
-
-/// The outcome of a full SimPoint evaluation (see [`run_simpoints`]).
+/// The outcome of a full SimPoint evaluation (see [`run_simpoints_with`]).
 #[derive(Debug)]
 pub struct SimPointRun {
     /// Weighted-harmonic-mean IPC over the surviving points — the
@@ -261,43 +194,21 @@ pub struct SimPointRun {
 }
 
 /// Full SimPoint evaluation of one workload instance: profiles it,
-/// selects representative regions, simulates each region as a shard on
-/// the `PHELPS_JOBS` thread pool, and aggregates — the weighted harmonic
+/// selects representative regions, simulates each region under `cfg` as
+/// a shard on `workers` threads, and aggregates — the weighted harmonic
 /// mean of per-point IPCs plus the merged counter/telemetry bundle.
 ///
-/// Missing region checkpoints are captured in one pre-pass, so the
-/// per-point shards restore instead of fast-forwarding. The prototype
-/// `cpu` is constructed once by the caller and cloned per use (profile
-/// pass, pre-capture pass, one clone per shard) — workload factories are
-/// no longer re-invoked per point.
+/// Missing region checkpoints are captured in one pre-pass under `ckpt`,
+/// so the per-point shards restore instead of fast-forwarding. The
+/// prototype `cpu` is constructed once by the caller and cloned per use
+/// (profile pass, pre-capture pass, one clone per shard). A region whose
+/// pre-region skip faults is skipped with a warning. `telemetry`, when
+/// set, is installed per shard after checkpoint positioning, so
+/// nondeterministic restore-time counters stay out of the merged report.
 ///
-/// The output is deterministic in `PHELPS_JOBS`: shards are independent
-/// and fold in point order, so any worker count yields byte-identical
+/// The output is deterministic in `workers`: shards are independent and
+/// fold in point order, so any worker count yields byte-identical
 /// per-point and merged results (CI-enforced; see `scripts/ci.sh`).
-pub fn run_simpoints(
-    label: &str,
-    cpu: Cpu,
-    mode: Mode,
-    profile_insts: u64,
-    spcfg: &phelps_workloads::simpoints::SimPointConfig,
-) -> SimPointRun {
-    run_simpoints_with(
-        label,
-        cpu,
-        &exp_config(mode),
-        profile_insts,
-        spcfg,
-        &ckpt_support::CkptPolicy::from_env(),
-        resolved_jobs(),
-        None,
-    )
-}
-
-/// [`run_simpoints`] with every policy explicit: the per-region
-/// [`RunConfig`], checkpoint policy, worker count, and an optional
-/// telemetry config installed per shard (after checkpoint positioning,
-/// so nondeterministic restore-time counters stay out of the merged
-/// report). Tests use this to avoid process-global env-var races.
 #[allow(clippy::too_many_arguments)]
 pub fn run_simpoints_with(
     label: &str,
@@ -375,17 +286,6 @@ impl Config12a {
             Config12a::Phelps => "Phelps",
             Config12a::Br => "BR",
             Config12a::Br12w => "BR-12w",
-        }
-    }
-
-    /// Executes this configuration on a prepared CPU.
-    pub fn run(self, cpu: Cpu) -> SimResult {
-        match self {
-            Config12a::Baseline => run(cpu, Mode::Baseline),
-            Config12a::PerfBp => run(cpu, Mode::PerfectBp),
-            Config12a::Phelps => run(cpu, Mode::Phelps(PhelpsFeatures::full())),
-            Config12a::Br => run_br(cpu, BrVariant::Speculative),
-            Config12a::Br12w => run_br(cpu, BrVariant::TwelveWide),
         }
     }
 

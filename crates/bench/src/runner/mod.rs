@@ -29,7 +29,6 @@ use phelps::sim::{simulate, simulate_corun_pair, Mode, RunConfig, SimResult};
 use phelps_isa::Cpu;
 use phelps_runahead::{simulate_runahead, BrVariant};
 use phelps_telemetry as tlm;
-use phelps_uarch::config::CoreConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -241,8 +240,8 @@ impl Experiment {
         self
     }
 
-    /// Overrides the proxy mode and model path (tests and the perf
-    /// harness; normally `PHELPS_PROXY` / `PHELPS_PROXY_MODEL`).
+    /// Overrides the proxy mode and model path (tests; normally
+    /// `PHELPS_PROXY` / `PHELPS_PROXY_MODEL`).
     pub fn proxy(mut self, mode: crate::ProxyMode, model: PathBuf) -> Experiment {
         self.proxy = Some((mode, model));
         self
@@ -293,20 +292,6 @@ impl Experiment {
         make: impl FnOnce() -> Cpu + Send + 'static,
     ) {
         let cfg = exp_config(mode);
-        self.cfg_cell(workload, config, cfg, make);
-    }
-
-    /// Adds a simulation cell with a custom core configuration.
-    pub fn core_cell(
-        &mut self,
-        workload: &str,
-        config: &str,
-        mode: Mode,
-        core: CoreConfig,
-        make: impl FnOnce() -> Cpu + Send + 'static,
-    ) {
-        let mut cfg = exp_config(mode);
-        cfg.core = core;
         self.cfg_cell(workload, config, cfg, make);
     }
 

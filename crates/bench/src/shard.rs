@@ -30,7 +30,7 @@
 
 use crate::ckpt_support::{self, CkptPolicy};
 use crate::exec;
-use phelps::sim::{simulate, simulate_warmed, RunConfig, SimResult};
+use phelps::sim::{simulate, Pipeline, RunConfig, SimResult};
 use phelps_isa::{Cpu, EmuError};
 use phelps_telemetry as tlm;
 
@@ -99,7 +99,9 @@ pub fn run_shard(
     if let Some(t) = telemetry {
         tlm::install(t.clone());
     }
-    Ok(simulate_warmed(cpu, cfg, &warm))
+    let mut p = Pipeline::from_config(cpu, cfg);
+    p.warm_microarch(&warm);
+    Ok(p.run())
 }
 
 /// Simulates `cfg.max_mt_insts` instructions of `cpu` split across
@@ -149,26 +151,6 @@ pub fn run_sharded_with(
         }
     });
     fold_merge(label, shard_results)
-}
-
-/// [`run_sharded_with`] under the environment policy: `PHELPS_SHARDS`
-/// shards on `PHELPS_JOBS` workers with the `PHELPS_CKPT_*` checkpoint
-/// settings.
-pub fn run_sharded(
-    label: &str,
-    cpu: Cpu,
-    cfg: &RunConfig,
-    telemetry: Option<&tlm::Config>,
-) -> Option<SimResult> {
-    run_sharded_with(
-        &CkptPolicy::from_env(),
-        crate::resolved_jobs(),
-        shard_count(),
-        label,
-        cpu,
-        cfg,
-        telemetry,
-    )
 }
 
 /// Folds per-shard results through [`SimResult::merge`] in shard-index

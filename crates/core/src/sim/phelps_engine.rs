@@ -105,8 +105,9 @@ impl PhelpsEngine {
         self.mt_regs = regs;
     }
 
-    /// Overrides the prediction-queue capacity (columns; paper: 32). For
-    /// the design-choice ablation harness.
+    /// Overrides the prediction-queue capacity (columns; paper: 32).
+    /// [`Pipeline::from_config`](crate::sim::Pipeline::from_config)
+    /// applies `RunConfig::queue_columns` through this.
     pub fn set_queue_columns(&mut self, columns: usize) {
         self.queue_columns = columns.max(1);
     }

@@ -535,7 +535,8 @@ impl<E: PreExecEngine> Pipeline<E> {
     }
 
     /// Overrides the helper-thread store-cache geometry (sets of 2 ways;
-    /// paper: 16). For the design-choice ablation harness; call before
+    /// paper: 16). [`Pipeline::from_config`] applies
+    /// `RunConfig::store_cache_sets` through this; call before
     /// [`Pipeline::run`].
     pub fn set_store_cache_sets(&mut self, sets: usize) {
         self.ctx.store_cache = StoreCache::new(sets.next_power_of_two().max(1));

@@ -167,8 +167,8 @@ impl BrConfig {
     }
 }
 
-/// The Branch Runahead engine. Plug into
-/// [`phelps::sim::simulate_with_engine`] (see [`crate::simulate_runahead`]).
+/// The Branch Runahead engine. Plugs into [`phelps::sim::Pipeline::new`]
+/// (see [`crate::simulate_runahead`]).
 #[derive(Debug)]
 pub struct BrEngine {
     cfg: BrConfig,

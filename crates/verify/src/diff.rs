@@ -18,7 +18,7 @@
 //! Any divergence means the replay/squash machinery dropped, duplicated
 //! or reordered a record, or retire-time state application went wrong.
 
-use phelps::sim::{simulate_observed, Mode, PhelpsFeatures, RunConfig};
+use phelps::sim::{Mode, PhelpsFeatures, Pipeline, RunConfig};
 use phelps_isa::{Cpu, ExecRecord, Reg};
 use std::fmt;
 
@@ -82,7 +82,9 @@ fn compare_mode(
     emu: &Cpu,
 ) -> Result<(), Mismatch> {
     let err = |what: String| Err(Mismatch { mode, what });
-    let r = simulate_observed(cpu.clone(), cfg);
+    let mut p = Pipeline::from_config(cpu.clone(), cfg);
+    p.record_retires();
+    let r = p.run();
     let got = r.retire_log.expect("retire log was requested");
     for (i, (w, g)) in want.iter().zip(got.iter()).enumerate() {
         if w != g {

@@ -17,9 +17,9 @@
 //! be bit-identical — warming is the only sanctioned perturbation.
 
 use crate::diff::{modes, Mismatch};
-use phelps::sim::{simulate_observed_warmed, RunConfig};
+use phelps::sim::{Pipeline, RunConfig};
 use phelps_ckpt::{capture_snapshots, region_key, resume, CheckpointStore};
-use phelps_isa::{Cpu, Reg};
+use phelps_isa::{Cpu, ExecRecord, Reg};
 use std::path::Path;
 
 /// Retired-instruction budget for the oracle's region runs: enough for
@@ -112,8 +112,14 @@ pub fn check_restore(
     // same stream and land in the same final state, in every mode.
     for (name, mode) in modes() {
         let cfg = RunConfig::quick(mode, REGION_BOUND, 2_000);
-        let a = simulate_observed_warmed(ff.clone(), &cfg, &[]);
-        let b = simulate_observed_warmed(restored.cpu.clone(), &cfg, &restored.warm);
+        let observe = |cpu: Cpu, warm: &[ExecRecord]| {
+            let mut p = Pipeline::from_config(cpu, &cfg);
+            p.record_retires();
+            p.warm_microarch(warm);
+            p.run()
+        };
+        let a = observe(ff.clone(), &[]);
+        let b = observe(restored.cpu.clone(), &restored.warm);
         compare_region(name, skip, warm, &a, &b)?;
     }
     Ok(())

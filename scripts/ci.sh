@@ -148,42 +148,11 @@ echo "$corun_out" | grep -q 'cells=4 hits=0 simulated=4' || {
 echo "$corun_out" | grep -Eq '^ *bfs  ' || {
     echo "ci.sh: fig_corun printed no bfs row" >&2; exit 1; }
 
-echo "==> perf trajectory (simulated MIPS per mode -> BENCH_perf.json)"
-cargo build --release -q -p phelps-bench --bin perf
-# The committed trajectory must have been produced by the current binary's
-# schema: a stale file silently breaks every PR-to-PR speed comparison
-# (cells move or gain fields and the diff reads as a perf change).
-committed_schema=$(sed -n 's/.*"schema":"\([^"]*\)".*/\1/p' BENCH_perf.json | head -n 1)
-prev_perf=$(mktemp)
-cp BENCH_perf.json "$prev_perf"
-PHELPS_REGION=200000 PHELPS_EPOCH=50000 ./target/release/perf --out=BENCH_perf.json
-grep -q '"schema":"phelps-bench-perf/4"' BENCH_perf.json || {
-    echo "ci.sh: BENCH_perf.json missing or malformed" >&2; exit 1; }
-fresh_schema=$(sed -n 's/.*"schema":"\([^"]*\)".*/\1/p' BENCH_perf.json | head -n 1)
-[ "$committed_schema" = "$fresh_schema" ] || {
-    echo "ci.sh: committed BENCH_perf.json schema '$committed_schema' is stale" \
-         "(binary emits '$fresh_schema'); regenerate and commit it" >&2
-    exit 1; }
-# Warn-only MIPS floor: flag cells that regressed to less than half the
-# committed trajectory. Machine-to-machine and load variance is large
-# (the committed numbers may come from different hardware), so this
-# never fails the gate — it exists to make an accidental quadratic-loop
-# reintroduction loud in the CI log.
-python3 - "$prev_perf" BENCH_perf.json <<'PYEOF' || true
-import json, sys
-prev = {(c["workload"], c["mode"], c["shards"]): c["mips"]
-        for c in json.load(open(sys.argv[1])).get("cells", [])}
-cur = json.load(open(sys.argv[2]))["cells"]
-slow = [(k, prev[k], c["mips"]) for c in cur
-        if (k := (c["workload"], c["mode"], c["shards"])) in prev
-        and c["mips"] < 0.5 * prev[k]]
-for k, p, n in slow:
-    print(f"ci.sh: WARNING: perf floor: {k} fell to {n:.3f} MIPS"
-          f" (< 50% of committed {p:.3f})", file=sys.stderr)
-if not slow:
-    print("    perf floor: all cells within 2x of the committed trajectory")
-PYEOF
-rm -f "$prev_perf"
+echo "==> benchmark tests (the public API benchmark/ builds against)"
+# benchmark/ is a separate cargo package that drives the simulator only
+# through public functions; its tests make a signature change there fail
+# here rather than at benchmark time.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "==> checkpoint restore-equivalence oracle (fixed seeds, all modes)"
 cargo test --release -q -p phelps-verify --test restore_equivalence

@@ -33,9 +33,7 @@ pub use phelps_workloads;
 
 /// One-stop imports for examples and tests.
 pub mod prelude {
-    pub use phelps::sim::{
-        simulate, simulate_observed, simulate_warmed, Mode, PhelpsFeatures, RunConfig, SimResult,
-    };
+    pub use phelps::sim::{simulate, Mode, PhelpsFeatures, Pipeline, RunConfig, SimResult};
     pub use phelps_isa::{Asm, Cpu, Reg};
     pub use phelps_runahead::{simulate_runahead, BrVariant};
     pub use phelps_uarch::config::CoreConfig;

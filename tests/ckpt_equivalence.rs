@@ -41,7 +41,9 @@ fn check_workload(name: &str, make: fn() -> Workload) {
 
         let restored = resume(make().cpu, &snap, 0).expect("restore");
         assert!(restored.warm.is_empty(), "W=0 yields no warm records");
-        let warmed = simulate_warmed(restored.cpu, &cfg, &restored.warm);
+        let mut p = Pipeline::from_config(restored.cpu, &cfg);
+        p.warm_microarch(&restored.warm);
+        let warmed = p.run();
 
         assert_eq!(
             cold.stats, warmed.stats,

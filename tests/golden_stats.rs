@@ -96,7 +96,9 @@ fn golden_region_restore_astar_small() {
         .pop()
         .expect("one snapshot");
     let restored = resume(suite::astar_small().cpu, &snap, 0).expect("restore");
-    let warmed = simulate_warmed(restored.cpu, &c, &restored.warm);
+    let mut p = Pipeline::from_config(restored.cpu, &c);
+    p.warm_microarch(&restored.warm);
+    let warmed = p.run();
 
     assert_eq!(cold.stats, warmed.stats, "restored stats drifted from ff");
     assert_eq!(

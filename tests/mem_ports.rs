@@ -144,7 +144,9 @@ fn checkpoint_warmup_warms_l1i() {
         .pop()
         .expect("one snapshot");
     let r0 = resume(tight_loop_kernel(100_000), &snap, 0).expect("restore");
-    let cold = simulate_warmed(r0.cpu, &cfg, &r0.warm);
+    let mut p = Pipeline::from_config(r0.cpu, &cfg);
+    p.warm_microarch(&r0.warm);
+    let cold = p.run();
     assert!(
         cold.stats.l1i_misses > 0,
         "cold region start must take a compulsory I-miss"
@@ -158,7 +160,9 @@ fn checkpoint_warmup_warms_l1i() {
         .expect("one snapshot");
     let rw = resume(tight_loop_kernel(100_000), &snap, warm_window).expect("restore");
     assert!(!rw.warm.is_empty(), "warmup records expected");
-    let warm = simulate_warmed(rw.cpu, &cfg, &rw.warm);
+    let mut p = Pipeline::from_config(rw.cpu, &cfg);
+    p.warm_microarch(&rw.warm);
+    let warm = p.run();
     assert_eq!(
         warm.stats.l1i_misses, 0,
         "warmup replay must have filled the loop's code blocks"

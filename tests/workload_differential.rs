@@ -45,7 +45,9 @@ fn check_prefix(w: Workload) {
 
     let mut cfg = RunConfig::scaled(Mode::Baseline);
     cfg.max_mt_insts = want.len() as u64;
-    let r = simulate_observed(cpu, &cfg);
+    let mut p = Pipeline::from_config(cpu, &cfg);
+    p.record_retires();
+    let r = p.run();
     let got = r.retire_log.expect("retire log was requested");
     assert_eq!(
         got.len(),
