@@ -50,12 +50,10 @@ fn main() {
         let Some(r) = res.get("astar", &format!("qcols{columns}")) else {
             continue;
         };
-        // `~` marks proxy-predicted cells (PHELPS_PROXY).
-        let mark = res.mark("astar", &format!("qcols{columns}"));
         rows.push(vec![
             columns.to_string(),
             base.map_or_else(|| "n/a".into(), |b| pct(speedup(&b.stats, &r.stats))),
-            format!("{:.1}{mark}", r.stats.mpki()),
+            format!("{:.1}", r.stats.mpki()),
             r.stats.queue_untimely.to_string(),
         ]);
     }
@@ -70,11 +68,10 @@ fn main() {
         let Some(r) = res.get("astar", &format!("scsets{sets}")) else {
             continue;
         };
-        let mark = res.mark("astar", &format!("scsets{sets}"));
         rows.push(vec![
             format!("{} ({} DWs)", sets, sets * 2),
             base.map_or_else(|| "n/a".into(), |b| pct(speedup(&b.stats, &r.stats))),
-            format!("{:.1}{mark}", r.stats.mpki()),
+            format!("{:.1}", r.stats.mpki()),
             r.stats.mispredicts_from_queue.to_string(),
         ]);
     }

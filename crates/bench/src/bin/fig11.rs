@@ -69,13 +69,11 @@ fn main() {
         let Some(r) = res.get("astar", config) else {
             continue;
         };
-        // `~` marks proxy-predicted cells (PHELPS_PROXY).
-        let mark = res.mark("astar", config);
         rows.push(vec![
             config.to_string(),
-            format!("{:.3}{mark}", r.stats.ipc()),
+            format!("{:.3}", r.stats.ipc()),
             base.map_or_else(|| "n/a".into(), |b| pct(speedup(&b.stats, &r.stats))),
-            format!("{:.1}{mark}", r.stats.mpki()),
+            format!("{:.1}", r.stats.mpki()),
         ]);
     }
     print_table(

@@ -17,28 +17,14 @@ fn speedup_rows(res: &MatrixResults, names: &[&str], configs: &[Config12a]) -> V
         let base = res.get(name, Config12a::Baseline.label());
         let mut row = vec![
             name.to_string(),
-            base.map_or_else(
-                || "n/a".into(),
-                // `~` marks proxy-predicted cells (PHELPS_PROXY).
-                |b| {
-                    format!(
-                        "{:.3}{}",
-                        b.stats.ipc(),
-                        res.mark(name, Config12a::Baseline.label())
-                    )
-                },
-            ),
+            base.map_or_else(|| "n/a".into(), |b| format!("{:.3}", b.stats.ipc())),
         ];
         let mut any = base.is_some();
         for cfg in configs {
             let cell = res.get(name, cfg.label());
             any |= cell.is_some();
             row.push(match (base, cell) {
-                (Some(b), Some(r)) => format!(
-                    "{}{}",
-                    pct(speedup(&b.stats, &r.stats)),
-                    res.mark(name, cfg.label())
-                ),
+                (Some(b), Some(r)) => pct(speedup(&b.stats, &r.stats)),
                 _ => "n/a".into(),
             });
         }

@@ -43,19 +43,10 @@ fn main() {
         ) else {
             continue;
         };
-        // `~` marks proxy-predicted cells (PHELPS_PROXY).
         rows.push(vec![
             name.to_string(),
-            format!(
-                "{}{}",
-                pct(speedup(&base.stats, &with.stats)),
-                res.mark(name, "with-stores")
-            ),
-            format!(
-                "{}{}",
-                pct(speedup(&base.stats, &without.stats)),
-                res.mark(name, "no-stores")
-            ),
+            pct(speedup(&base.stats, &with.stats)),
+            pct(speedup(&base.stats, &without.stats)),
         ]);
     }
     print_table(

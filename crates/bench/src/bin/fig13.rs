@@ -52,13 +52,12 @@ fn main() {
                 "n/a".to_string()
             }
         };
-        // `~` marks proxy-predicted cells (PHELPS_PROXY).
         rows_a.push(vec![
             name.to_string(),
-            format!("{:.1}{}", base.stats.mpki(), res.mark(name, "baseline")),
-            format!("{:.1}{}", ph.stats.mpki(), res.mark(name, "phelps")),
+            format!("{:.1}", base.stats.mpki()),
+            format!("{:.1}", ph.stats.mpki()),
             red(ph),
-            format!("{:.1}{}", ph_ns.stats.mpki(), res.mark(name, "no-stores")),
+            format!("{:.1}", ph_ns.stats.mpki()),
             red(ph_ns),
         ]);
         // Fig. 13b units: helper instructions per 100M main-thread retired.
@@ -69,8 +68,8 @@ fn main() {
         let slowdown = 100.0 * (1.0 - speedup(&base.stats, &part.stats));
         rows_c.push(vec![
             name.to_string(),
-            format!("{:.3}{}", base.stats.ipc(), res.mark(name, "baseline")),
-            format!("{:.3}{}", part.stats.ipc(), res.mark(name, "partition")),
+            format!("{:.3}", base.stats.ipc()),
+            format!("{:.3}", part.stats.ipc()),
             format!("{:.1}%", slowdown),
         ]);
     }

@@ -40,8 +40,7 @@ fn main() {
         let Some(r) = res.get(name, "phelps") else {
             continue;
         };
-        // `~` marks proxy-predicted cells (PHELPS_PROXY).
-        let mut row = vec![format!("{}{}", name, res.mark(name, "phelps"))];
+        let mut row = vec![name.to_string()];
         for c in classes {
             row.push(format!("{:.2}", r.breakdown.mpki(c)));
         }

@@ -26,13 +26,8 @@ fn sweep_rows(res: &MatrixResults, tags: &[String]) -> Vec<Vec<String>> {
             let base = res.get(name, &format!("base@{tag}"));
             let ph = res.get(name, &format!("phelps@{tag}"));
             any |= base.is_some() || ph.is_some();
-            // `~` marks proxy-predicted cells (PHELPS_PROXY).
             row.push(match (base, ph) {
-                (Some(b), Some(p)) => format!(
-                    "{}{}",
-                    pct(speedup(&b.stats, &p.stats)),
-                    res.mark(name, &format!("phelps@{tag}"))
-                ),
+                (Some(b), Some(p)) => pct(speedup(&b.stats, &p.stats)),
                 _ => "n/a".into(),
             });
         }
@@ -118,12 +113,8 @@ fn main() {
         };
         rows.push(vec![
             label.to_string(),
-            format!("{:.1}{}", base.stats.mpki(), res.mark(&wl, "baseline")),
-            format!(
-                "{}{}",
-                pct(speedup(&base.stats, &ph.stats)),
-                res.mark(&wl, "phelps")
-            ),
+            format!("{:.1}", base.stats.mpki()),
+            pct(speedup(&base.stats, &ph.stats)),
         ]);
     }
     print_table(

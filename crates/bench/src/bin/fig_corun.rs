@@ -50,11 +50,7 @@ fn rows(res: &MatrixResults) -> Vec<Vec<String>> {
             pct(speedup(&bc.stats, &bs.stats)),
             pct(speedup(&pc.stats, &ps.stats)),
             pct(speedup(&bs.stats, &ps.stats)),
-            format!(
-                "{}{}",
-                pct(speedup(&bc.stats, &pc.stats)),
-                res.mark(name, "phelps-corun")
-            ),
+            pct(speedup(&bc.stats, &pc.stats)),
             format!(
                 "{}",
                 pc.stats.l2_port_stalls + pc.stats.l3_port_stalls + pc.stats.dram_queue_stalls

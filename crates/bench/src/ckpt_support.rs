@@ -216,15 +216,6 @@ fn capture_one(cpu: &mut Cpu, skip: u64, warm: u64) -> Result<Snapshot, EmuError
         .expect("one start yields one snapshot"))
 }
 
-/// [`region_cpu_with`] under the environment policy.
-///
-/// # Errors
-///
-/// Propagates [`EmuError`] from the fast-forward or replay.
-pub fn region_cpu(label: &str, cpu: Cpu, skip: u64) -> Result<(Cpu, Vec<ExecRecord>), EmuError> {
-    region_cpu_with(&CkptPolicy::from_env(), label, cpu, skip)
-}
-
 /// Captures every missing checkpoint among `starts` in one forward pass
 /// over `cpu` (a fresh workload instance), so N region cells pay one
 /// fast-forward instead of N. Present-and-usable checkpoints are left
@@ -278,15 +269,6 @@ pub fn ensure_region_checkpoints_with(
     });
     tlm::add(tlm::Counter::CkptSaveNs, save_ns);
     Ok(())
-}
-
-/// [`ensure_region_checkpoints_with`] under the environment policy.
-///
-/// # Errors
-///
-/// Propagates [`EmuError`] when the single-pass fast-forward faults.
-pub fn ensure_region_checkpoints(label: &str, cpu: Cpu, starts: &[u64]) -> Result<(), EmuError> {
-    ensure_region_checkpoints_with(&CkptPolicy::from_env(), label, cpu, starts)
 }
 
 #[cfg(test)]

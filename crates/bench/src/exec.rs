@@ -83,29 +83,12 @@ pub struct CellOutcome {
 /// sequence; this is the only place in the workspace that pairs a cache
 /// lookup with a simulation, so dedup semantics cannot drift between
 /// the batch runner and the daemon.
-pub fn execute_cell(
-    req: &CellRequest,
-    policy: &ExecPolicy,
-    job: impl FnOnce() -> Option<SimResult>,
-) -> CellOutcome {
-    execute_cell_prepared(req, policy, |tlm_cfg| {
-        if let Some(cfg) = tlm_cfg {
-            tlm::install(cfg);
-        }
-        job()
-    })
-}
-
-/// [`execute_cell`] for jobs that own their telemetry installation.
 ///
-/// The plain entry point installs the policy's registry on the calling
-/// thread before running the job — correct for a single-threaded
-/// simulation, wrong for a sharded one, where each shard needs its own
-/// thread-local registry installed *after* checkpoint positioning (so
-/// nondeterministic restore wall-clock counters stay out of the merged
-/// report). Here the job receives the policy's telemetry config and
-/// decides where and when to install it; everything else (key lock,
-/// cache re-check, atomic store) is identical.
+/// The job receives the policy's telemetry config and decides where and
+/// when to install it: a single-threaded simulation installs it on the
+/// calling thread, a sharded one installs a registry per shard thread
+/// *after* checkpoint positioning (so nondeterministic restore
+/// wall-clock counters stay out of the merged report).
 pub fn execute_cell_prepared(
     req: &CellRequest,
     policy: &ExecPolicy,
@@ -142,8 +125,8 @@ pub fn execute_cell_prepared(
 }
 
 /// Runs `job(0..n)` on a pool of `workers` scoped threads and returns
-/// the results in index order — the shard-dispatch primitive shared by
-/// sharded single runs and the SimPoint driver.
+/// the results in index order — the one worker pool behind the runner's
+/// cell matrix, sharded single runs and the SimPoint driver.
 ///
 /// Work is claimed from an atomic index, so any worker count yields the
 /// same index→result mapping; with `workers == 1` the indices execute
@@ -228,7 +211,7 @@ mod tests {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     s.spawn(|| {
-                        execute_cell(&req("dedup"), &policy, || {
+                        execute_cell_prepared(&req("dedup"), &policy, |_| {
                             runs.fetch_add(1, Ordering::SeqCst);
                             let cfg = RunConfig::quick(Mode::Baseline, 5_000, 1_000);
                             Some(simulate(tiny_loop(), &cfg))
@@ -257,7 +240,7 @@ mod tests {
         let runs = AtomicUsize::new(0);
         let policy = ExecPolicy::default();
         for _ in 0..2 {
-            let o = execute_cell(&req("nocache"), &policy, || {
+            let o = execute_cell_prepared(&req("nocache"), &policy, |_| {
                 runs.fetch_add(1, Ordering::SeqCst);
                 let cfg = RunConfig::quick(Mode::Baseline, 5_000, 1_000);
                 Some(simulate(tiny_loop(), &cfg))

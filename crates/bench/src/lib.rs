@@ -48,9 +48,8 @@ use phelps_isa::Cpu;
 use phelps_runahead::BrVariant;
 
 /// Emits `warning: <msg>` once per process per environment-variable
-/// name — the `PHELPS_PROXY` convention generalized, so a bad value in a
-/// variable consulted many times per run (e.g. `PHELPS_SHARDS` per cell)
-/// does not spam the log.
+/// name, so a bad value in a variable consulted many times per run (e.g.
+/// `PHELPS_SHARDS` per cell) does not spam the log.
 fn warn_env_once(name: &'static str, msg: std::fmt::Arguments<'_>) {
     use std::collections::BTreeSet;
     use std::sync::Mutex;
@@ -88,57 +87,20 @@ pub fn epoch_len() -> u64 {
     env_u64("PHELPS_EPOCH", 150_000)
 }
 
-/// How the learned proxy participates in a sweep (`PHELPS_PROXY`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ProxyMode {
-    /// No proxy: every cell simulates or cache-hits (the default; output
-    /// is byte-identical to a build without the proxy).
-    #[default]
-    Off,
-    /// Budgeted triage: predict every cell, fully simulate the anchors,
-    /// the most-uncertain frontier, and a fixed validation sample, up to
-    /// half the matrix; backfill the rest with predictions.
-    Triage,
-    /// Uncertainty-gated: a prediction replaces a simulation *only*
-    /// when its uncertainty is within the model's cross-validated error
-    /// band — no budget ever truncates the uncertain frontier.
-    Strict,
-}
-
-/// Parses `PHELPS_PROXY` (`off` | `triage` | `strict`), warning once
-/// per process on an unknown value and falling back to `off` — the
-/// same convention as the other bench env vars, hoisted to a
-/// [`std::sync::Once`] because the runner may consult the mode many
-/// times per run.
-pub fn proxy_mode() -> ProxyMode {
-    match std::env::var("PHELPS_PROXY") {
-        Ok(v) => match v.trim().to_lowercase().as_str() {
-            "" | "off" | "0" => ProxyMode::Off,
-            "triage" => ProxyMode::Triage,
-            "strict" => ProxyMode::Strict,
-            _ => {
-                static WARN: std::sync::Once = std::sync::Once::new();
-                WARN.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring unknown PHELPS_PROXY={v:?}; \
-                         expected off|triage|strict, using off"
-                    );
-                });
-                ProxyMode::Off
-            }
-        },
-        Err(_) => ProxyMode::Off,
+/// The result-cache directory shared by the batch runner and the
+/// daemon: `PHELPS_CACHE_DIR`, defaulting to `results/cache`; `None`
+/// when `PHELPS_NO_CACHE` is set to anything but `0`.
+pub fn cache_dir_from_env() -> Option<std::path::PathBuf> {
+    if std::env::var("PHELPS_NO_CACHE").is_ok_and(|v| v != "0") {
+        return None;
     }
-}
-
-/// The proxy model file consulted under `PHELPS_PROXY`:
-/// `PHELPS_PROXY_MODEL` or the `phelps-proxy train` default.
-pub fn proxy_model_path() -> std::path::PathBuf {
-    std::env::var("PHELPS_PROXY_MODEL")
-        .ok()
-        .filter(|s| !s.is_empty())
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results/proxy/model.json"))
+    Some(
+        std::env::var("PHELPS_CACHE_DIR")
+            .ok()
+            .filter(|s| !s.is_empty())
+            .map(std::path::PathBuf::from)
+            .unwrap_or_else(|| std::path::PathBuf::from("results/cache")),
+    )
 }
 
 /// Worker-thread count: `PHELPS_JOBS`, defaulting to the machine's

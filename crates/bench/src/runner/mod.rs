@@ -23,14 +23,13 @@
 
 pub mod cache;
 
-use crate::exec::{execute_cell_prepared, CellRequest, ExecPolicy};
+use crate::exec::{execute_cell_prepared, run_indexed, CellRequest, ExecPolicy};
 use crate::{exp_config, trace};
 use phelps::sim::{simulate, simulate_corun_pair, Mode, RunConfig, SimResult};
 use phelps_isa::Cpu;
 use phelps_runahead::{simulate_runahead, BrVariant};
 use phelps_telemetry as tlm;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Options every figure binary accepts.
@@ -87,10 +86,6 @@ pub struct CellResult {
     pub result: Option<SimResult>,
     /// Whether the result was served from the on-disk cache.
     pub from_cache: bool,
-    /// Whether the result is a proxy prediction (`PHELPS_PROXY`), not a
-    /// simulation: only IPC/MPKI-bearing counters are populated and the
-    /// cell was never written to the result cache.
-    pub predicted: bool,
 }
 
 /// All cell outcomes of one experiment, in submission order.
@@ -104,8 +99,6 @@ pub struct MatrixResults {
     pub simulated: usize,
     /// Cells removed by the `--only` filter.
     pub filtered: usize,
-    /// Cells backfilled with proxy predictions.
-    pub predicted: usize,
 }
 
 impl MatrixResults {
@@ -115,21 +108,6 @@ impl MatrixResults {
             .iter()
             .find(|c| c.workload == workload && c.config == config)
             .and_then(|c| c.result.as_ref())
-    }
-
-    /// `"~"` when the cell's result is a proxy prediction, `""`
-    /// otherwise — the figure binaries append it to their IPC columns so
-    /// a triaged table marks predicted cells explicitly.
-    pub fn mark(&self, workload: &str, config: &str) -> &'static str {
-        let predicted = self
-            .cells
-            .iter()
-            .any(|c| c.workload == workload && c.config == config && c.predicted);
-        if predicted {
-            "~"
-        } else {
-            ""
-        }
     }
 
     /// All distinct workload labels that produced at least one result,
@@ -162,7 +140,6 @@ pub struct Experiment {
     use_cache: bool,
     force_telemetry: bool,
     quiet: bool,
-    proxy: Option<(crate::ProxyMode, PathBuf)>,
 }
 
 impl std::fmt::Debug for Experiment {
@@ -177,23 +154,17 @@ impl std::fmt::Debug for Experiment {
 impl Experiment {
     /// An empty experiment named after its figure/table.
     pub fn new(name: &str) -> Experiment {
+        let cache_dir = crate::cache_dir_from_env();
         Experiment {
             name: name.to_string(),
             cells: Vec::new(),
             jobs: None,
             filter: None,
             list: false,
-            cache_dir: Some(
-                std::env::var("PHELPS_CACHE_DIR")
-                    .ok()
-                    .filter(|s| !s.is_empty())
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from("results/cache")),
-            ),
-            use_cache: !std::env::var("PHELPS_NO_CACHE").is_ok_and(|v| v != "0"),
+            use_cache: cache_dir.is_some(),
+            cache_dir,
             force_telemetry: false,
             quiet: false,
-            proxy: None,
         }
     }
 
@@ -237,13 +208,6 @@ impl Experiment {
     /// Suppresses the `[runner]` summary line (tests).
     pub fn quiet(mut self, q: bool) -> Experiment {
         self.quiet = q;
-        self
-    }
-
-    /// Overrides the proxy mode and model path (tests; normally
-    /// `PHELPS_PROXY` / `PHELPS_PROXY_MODEL`).
-    pub fn proxy(mut self, mode: crate::ProxyMode, model: PathBuf) -> Experiment {
-        self.proxy = Some((mode, model));
         self
     }
 
@@ -401,7 +365,6 @@ impl Experiment {
                 hits: 0,
                 simulated: 0,
                 filtered: total,
-                predicted: 0,
             };
         }
 
@@ -436,31 +399,23 @@ impl Experiment {
             }
         }
 
-        let n = kept.len();
-        let jobs = self.resolved_jobs().min(n.max(1));
-        // Identity copies for the proxy planner; the cells themselves
-        // (with their FnOnce jobs) move into the execution slots.
-        let meta: Vec<(String, String, String)> = kept
-            .iter()
-            .map(|c| (c.workload.clone(), c.config.clone(), c.key.clone()))
-            .collect();
+        let jobs = self.resolved_jobs().min(kept.len().max(1));
         let slots: Vec<Mutex<Option<Cell>>> =
             kept.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let out: Vec<Mutex<Option<CellResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let epoch_len = crate::epoch_len();
         let verbose = std::env::var("PHELPS_TRACE_VERBOSE").is_ok_and(|v| v != "0");
-        let name = self.name.clone();
 
-        // One cell through the shared execution path (cache + locks +
-        // telemetry), writing its outcome slot.
-        let exec_cell = |i: usize| {
+        // Every kept cell goes through the shared execution path (cache +
+        // locks + telemetry); the pool returns outcomes in index order,
+        // independent of the worker count.
+        let cells: Vec<CellResult> = run_indexed(slots.len(), jobs, |i| {
             let cell = slots[i]
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .take()
                 .expect("each cell is taken exactly once");
             let req = CellRequest {
-                experiment: name.clone(),
+                experiment: self.name.clone(),
                 workload: cell.workload.clone(),
                 config: cell.config.clone(),
                 key: cell.key,
@@ -477,79 +432,13 @@ impl Experiment {
                 }),
             };
             let outcome = execute_cell_prepared(&req, &policy, cell.job);
-            *out[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(CellResult {
+            CellResult {
                 workload: cell.workload,
                 config: cell.config,
                 result: outcome.result,
                 from_cache: outcome.from_cache,
-                predicted: false,
-            });
-        };
-        // Executes a subset of cells on the worker pool. Claiming from
-        // an atomic cursor keeps the index→result mapping independent
-        // of the worker count, exactly like the full-matrix pool.
-        let run_pool = |indices: &[usize]| {
-            if indices.is_empty() {
-                return;
             }
-            let workers = jobs.min(indices.len());
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= indices.len() {
-                            break;
-                        }
-                        exec_cell(indices[k]);
-                    });
-                }
-            });
-        };
-
-        let (proxy_mode, model_path) = self
-            .proxy
-            .clone()
-            .unwrap_or_else(|| (crate::proxy_mode(), crate::proxy_model_path()));
-        let model = if proxy_mode == crate::ProxyMode::Off || n == 0 {
-            None
-        } else if want_telemetry {
-            proxy_warn_once(
-                "PHELPS_PROXY disabled for this run: telemetry/tracing needs every \
-                 cell simulated"
-                    .to_string(),
-            );
-            None
-        } else {
-            match phelps_proxy::ProxyModel::load(&model_path) {
-                Ok(m) => Some(m),
-                Err(e) => {
-                    proxy_warn_once(format!(
-                        "PHELPS_PROXY disabled: {e} (train one with `phelps-proxy train`)"
-                    ));
-                    None
-                }
-            }
-        };
-
-        let proxy_line = if let Some(model) = model {
-            Some(triage(
-                &meta, &out, &name, cache_dir, read_cache, proxy_mode, &model, &run_pool,
-            ))
-        } else {
-            let all: Vec<usize> = (0..n).collect();
-            run_pool(&all);
-            None
-        };
-
-        let cells: Vec<CellResult> = out
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("worker filled every slot")
-            })
-            .collect();
+        });
         // Submission-ordered trace output: identical files for any
         // PHELPS_JOBS value. The cells are walked in declaration order
         // after the pool drained, so reserve/submit pairs are already
@@ -571,9 +460,8 @@ impl Experiment {
         let hits = cells.iter().filter(|c| c.from_cache).count();
         let simulated = cells
             .iter()
-            .filter(|c| !c.from_cache && !c.predicted && c.result.is_some())
+            .filter(|c| !c.from_cache && c.result.is_some())
             .count();
-        let predicted = cells.iter().filter(|c| c.predicted).count();
         if !self.quiet {
             println!(
                 "[runner] {}: cells={} hits={} simulated={} filtered={} jobs={}",
@@ -584,276 +472,12 @@ impl Experiment {
                 filtered,
                 jobs
             );
-            if let Some(line) = proxy_line {
-                println!("{line}");
-            }
         }
         MatrixResults {
             cells,
             hits,
             simulated,
             filtered,
-            predicted,
         }
     }
-}
-
-/// One-time proxy degradation warning (per process): the first reason
-/// the proxy could not run prints, later ones stay quiet, mirroring the
-/// env-var warning convention.
-fn proxy_warn_once(msg: String) {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    WARN.call_once(|| eprintln!("warning: {msg}"));
-}
-
-/// Plans and executes a proxy-triaged matrix.
-///
-/// The matrix is split into *anchor groups* — one workload, region, and
-/// input variant ([`phelps_proxy::dataset::group_parts`]); each group's
-/// anchor (its first baseline cell, or its first cell when no baseline
-/// survives the filter) is always simulated, because anchor telemetry
-/// is the feature source for every other cell of the group. Cache hits
-/// are then peeled off, the model predicts the remaining candidates,
-/// and three classes simulate for real:
-///
-/// * **forced** — cells the model cannot predict (failed anchor,
-///   degenerate counters, non-finite prediction);
-/// * **frontier** — the most-uncertain candidates: in `strict` mode
-///   every cell whose IPC uncertainty exceeds the model's `tau`, in
-///   `triage` mode the top-uncertainty cells that fit the budget of
-///   `total_cells / 2` full simulations;
-/// * **validation** — an evenly-spaced sample (one in eight) of the
-///   cells that *would* be predicted, simulated anyway so the run can
-///   report a measured predicted-vs-simulated error.
-///
-/// Everything else is backfilled with synthesized counters
-/// ([`phelps_proxy::synthesize_stats`]) and flagged `predicted` — never
-/// written to the result cache. Returns the `[proxy]` summary line.
-#[allow(clippy::too_many_arguments)]
-fn triage(
-    meta: &[(String, String, String)],
-    out: &[Mutex<Option<CellResult>>],
-    name: &str,
-    cache_dir: Option<&std::path::Path>,
-    read_cache: bool,
-    mode: crate::ProxyMode,
-    model: &phelps_proxy::ProxyModel,
-    run_pool: &dyn Fn(&[usize]),
-) -> String {
-    use phelps_proxy::dataset::{group_parts, is_anchor_key};
-    use std::collections::BTreeMap;
-    let n = meta.len();
-
-    // Anchor selection per group, in submission order.
-    let mut groups: BTreeMap<(String, String, String), Vec<usize>> = BTreeMap::new();
-    for (i, (workload, config, key)) in meta.iter().enumerate() {
-        groups
-            .entry(group_parts(workload, config, key))
-            .or_default()
-            .push(i);
-    }
-    let mut anchor_of = vec![0usize; n];
-    let mut anchors: Vec<usize> = Vec::new();
-    for members in groups.values() {
-        let anchor = members
-            .iter()
-            .copied()
-            .find(|&i| is_anchor_key(&meta[i].2))
-            .unwrap_or(members[0]);
-        anchors.push(anchor);
-        for &i in members {
-            anchor_of[i] = anchor;
-        }
-    }
-    anchors.sort_unstable();
-    run_pool(&anchors);
-
-    // Peel off cache hits (a peek, not a locked execution: a miss just
-    // falls through to prediction or simulation, both of which behave
-    // correctly if another process stores the cell meanwhile).
-    let mut candidates: Vec<usize> = Vec::new();
-    for (i, (workload, config, key)) in meta.iter().enumerate() {
-        if anchor_of[i] == i {
-            continue;
-        }
-        if read_cache {
-            if let Some(dir) = cache_dir {
-                let req = CellRequest {
-                    experiment: name.to_string(),
-                    workload: workload.clone(),
-                    config: config.clone(),
-                    key: key.clone(),
-                };
-                if let Some(result) = cache::load(dir, &req.fingerprint()) {
-                    *out[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(CellResult {
-                        workload: workload.clone(),
-                        config: config.clone(),
-                        result: Some(result),
-                        from_cache: true,
-                        predicted: false,
-                    });
-                    continue;
-                }
-            }
-        }
-        candidates.push(i);
-    }
-
-    // Predict every remaining candidate from its anchor's counters.
-    let anchor_stats = |i: usize| {
-        out[anchor_of[i]]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .and_then(|c| c.result.as_ref())
-            .map(|r| (r.stats.clone(), r.breakdown.retired))
-    };
-    let mut forced: Vec<usize> = Vec::new();
-    let mut scored: Vec<(usize, phelps_proxy::Prediction)> = Vec::new();
-    for &i in &candidates {
-        match anchor_stats(i) {
-            Some((stats, _)) if stats.cycles > 0 && stats.mt_retired > 0 => {
-                let x = phelps_proxy::feature_vector(
-                    &phelps_proxy::anchor_slots_from_stats(&stats),
-                    &meta[i].2,
-                );
-                let p = model.predict(&x);
-                if p.ipc.is_finite() && p.mpki.is_finite() {
-                    scored.push((i, p));
-                } else {
-                    forced.push(i);
-                }
-            }
-            _ => forced.push(i),
-        }
-    }
-
-    // Frontier: in strict mode everything the model is unsure about; in
-    // triage mode the most-uncertain cells the simulation budget
-    // (half the matrix) still covers after anchors, forced cells, and
-    // the validation sample.
-    let tau = model.tau_ipc();
-    let mut by_unc: Vec<usize> = (0..scored.len()).collect();
-    by_unc.sort_by(|&a, &b| {
-        scored[b]
-            .1
-            .ipc_uncertainty
-            .partial_cmp(&scored[a].1.ipc_uncertainty)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(scored[a].0.cmp(&scored[b].0))
-    });
-    let frontier_len = match mode {
-        crate::ProxyMode::Strict => scored
-            .iter()
-            .filter(|(_, p)| p.ipc_uncertainty > tau)
-            .count(),
-        _ => {
-            let budget = n / 2;
-            let val_reserve = scored.len().div_ceil(8);
-            budget
-                .saturating_sub(anchors.len() + forced.len() + val_reserve)
-                .min(scored.len())
-        }
-    };
-    let mut simulate = vec![false; scored.len()];
-    match mode {
-        crate::ProxyMode::Strict => {
-            for (s, (_, p)) in scored.iter().enumerate() {
-                simulate[s] = p.ipc_uncertainty > tau;
-            }
-        }
-        _ => {
-            for &s in by_unc.iter().take(frontier_len) {
-                simulate[s] = true;
-            }
-        }
-    }
-    let frontier_count = simulate.iter().filter(|&&b| b).count();
-
-    // Validation: an evenly-spaced sample of the would-be-predicted
-    // cells, simulated anyway to measure the model against the truth.
-    let rest: Vec<usize> = (0..scored.len()).filter(|&s| !simulate[s]).collect();
-    let val_len = rest.len().div_ceil(8).min(rest.len());
-    let validation: Vec<usize> = (0..val_len)
-        .map(|k| rest[k * rest.len() / val_len])
-        .collect();
-    for &s in &validation {
-        simulate[s] = true;
-    }
-
-    let mut to_sim: Vec<usize> = forced.clone();
-    to_sim.extend(
-        scored
-            .iter()
-            .enumerate()
-            .filter(|(s, _)| simulate[*s])
-            .map(|(_, (i, _))| *i),
-    );
-    to_sim.sort_unstable();
-    run_pool(&to_sim);
-
-    // Backfill everything else with flagged predictions. Predicted
-    // cells never reach the result cache: their counters are estimates
-    // and would poison later runs as measured values.
-    let mut predicted = 0usize;
-    for (s, (i, p)) in scored.iter().enumerate() {
-        if simulate[s] {
-            continue;
-        }
-        let Some((stats, bd_retired)) = anchor_stats(*i) else {
-            continue;
-        };
-        let mut breakdown = phelps::classify::MispredictBreakdown::new();
-        breakdown.retired = bd_retired;
-        *out[*i].lock().unwrap_or_else(|e| e.into_inner()) = Some(CellResult {
-            workload: meta[*i].0.clone(),
-            config: meta[*i].1.clone(),
-            result: Some(SimResult {
-                stats: phelps_proxy::synthesize_stats(&stats, p.ipc, p.mpki),
-                breakdown,
-                telemetry: None,
-                retire_log: None,
-                final_state: None,
-            }),
-            from_cache: false,
-            predicted: true,
-        });
-        predicted += 1;
-    }
-
-    // Predicted-vs-measured error over the validation sample.
-    let mut val_errs: Vec<f64> = Vec::new();
-    for &s in &validation {
-        let (i, p) = &scored[s];
-        let measured = out[*i]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .and_then(|c| c.result.as_ref())
-            .map(|r| r.stats.ipc());
-        if let Some(m) = measured {
-            val_errs.push((p.ipc - m).abs());
-        }
-    }
-    let (val_mae, val_max) = if val_errs.is_empty() {
-        (f64::NAN, f64::NAN)
-    } else {
-        (
-            val_errs.iter().sum::<f64>() / val_errs.len() as f64,
-            val_errs.iter().fold(0.0f64, |m, &e| m.max(e)),
-        )
-    };
-    let mode_label = match mode {
-        crate::ProxyMode::Strict => "strict",
-        _ => "triage",
-    };
-    format!(
-        "[proxy] {name}: mode={mode_label} cells={n} anchors={} forced={} frontier={} \
-         validation={} predicted={predicted} tau={tau:.4} val_ipc_mae={val_mae:.4} \
-         val_ipc_max={val_max:.4}",
-        anchors.len(),
-        forced.len(),
-        frontier_count,
-        validation.len(),
-    )
 }

@@ -143,11 +143,6 @@ impl HtcEntry {
         self.outer.is_some()
     }
 
-    /// Total instructions across both halves.
-    pub fn total_insts(&self) -> usize {
-        self.inner.len() + self.outer.as_ref().map_or(0, HelperThread::len)
-    }
-
     /// Validates the row against hardware capacity: 128 instructions total,
     /// 64 per half when nested.
     pub fn fits_hardware(&self) -> bool {

@@ -93,8 +93,6 @@ pub struct PhelpsEngine {
     mt_regs: [u64; NUM_REGS],
     /// Shadow register files of the side threads (visit live-in capture).
     side_regs: [[u64; NUM_REGS]; 2],
-    /// Debug counter: header-branch retirements observed.
-    dbg_headers_retired: u64,
     active: Option<ActiveRun>,
 }
 
@@ -136,7 +134,6 @@ impl PhelpsEngine {
             detected_not_chosen: HashSet::new(),
             mt_regs: [0; NUM_REGS],
             side_regs: [[0; NUM_REGS]; 2],
-            dbg_headers_retired: 0,
             active: None,
         }
     }
@@ -216,22 +213,11 @@ impl PhelpsEngine {
 
     fn end_epoch(&mut self, cycle: u64) {
         tlm::count(tlm::Counter::EpochsEnded);
-        let dbg = std::env::var("PHELPS_DBG").is_ok();
         // Finalize any in-flight construction.
         if let Some(c) = self.constructor.take() {
             let bounds = c.target().bounds;
             match c.finalize(self.epoch) {
                 Ok(entry) => {
-                    if dbg {
-                        eprintln!(
-                            "[dbg] epoch {} installed loop {:#x}..{:#x} ({} insts, nested={})",
-                            self.epoch,
-                            bounds.target_pc,
-                            bounds.branch_pc,
-                            entry.total_insts(),
-                            entry.is_nested()
-                        );
-                    }
                     let entry = self.apply_features(entry);
                     tlm::count(tlm::Counter::HtcInstalls);
                     tlm::event(
@@ -244,12 +230,6 @@ impl PhelpsEngine {
                     self.detected_not_chosen.remove(&bounds);
                 }
                 Err(reason) => {
-                    if dbg {
-                        eprintln!(
-                            "[dbg] epoch {} ineligible loop {:#x}..{:#x}: {reason}",
-                            self.epoch, bounds.target_pc, bounds.branch_pc
-                        );
-                    }
                     self.ineligible.insert(bounds, reason);
                     self.detected_not_chosen.remove(&bounds);
                 }
@@ -268,16 +248,6 @@ impl PhelpsEngine {
 
         // Build the Loop Table and choose the next construction target.
         let lt = build_loop_table(&self.dbt, self.delinq_threshold, 8);
-        if dbg {
-            for e in &lt {
-                eprintln!(
-                    "[dbg] epoch {} LT loop {:#x}..{:#x} inner={:x?} misp={} branches={:x?}",
-                    self.epoch, e.bounds.target_pc, e.bounds.branch_pc, e.inner, e.misp, e.branches
-                );
-            }
-            let top: Vec<(u64, u64)> = self.dbt.ranking().into_iter().take(6).collect();
-            eprintln!("[dbg] epoch {} dbt-top={top:x?}", self.epoch);
-        }
         let mut chosen = false;
         for e in &lt {
             let known = self.htc.has_loop(e.bounds) || self.ineligible.contains_key(&e.bounds);
@@ -310,21 +280,6 @@ impl PhelpsEngine {
     // ------------------------------------------------------------------
 
     fn start_run(&mut self, entry: HtcEntry) -> ActiveThreads {
-        if std::env::var("PHELPS_DBG").is_ok() {
-            eprintln!("[dbg] start_run: nested={}", entry.is_nested());
-            for t in std::iter::once(&entry.inner).chain(entry.outer.as_ref()) {
-                eprintln!(
-                    "[dbg]  thread {:?} live_mt={:?} live_ot={:?} rows={:x?}",
-                    t.kind, t.live_ins_mt, t.live_ins_ot, t.queue_rows
-                );
-                for i in &t.insts {
-                    eprintln!(
-                        "[dbg]   {:#x}: {} kind={:?} pred={:?}",
-                        i.pc, i.inst, i.kind, i.pred_src
-                    );
-                }
-            }
-        }
         let nested = entry.is_nested();
         let qa_rows: Vec<u64> = if nested {
             entry.outer.as_ref().expect("nested").queue_rows.clone()
@@ -524,9 +479,6 @@ impl PreExecEngine for PhelpsEngine {
             }
             // Termination: MT left the loop.
             if !run.entry.bounds.contains(rec.pc) {
-                if std::env::var("PHELPS_DBG").is_ok() {
-                    eprintln!("[dbg] terminate: MT retired {:#x} outside bounds", rec.pc);
-                }
                 return EngineCmd::Terminate;
             }
             // Resync: the helper thread fell hopelessly behind the main
@@ -536,13 +488,6 @@ impl PreExecEngine for PhelpsEngine {
             if run.qa.spec_head().saturating_sub(run.qa.tail())
                 > 4 * crate::predq::DEFAULT_COLUMNS as u64
             {
-                if std::env::var("PHELPS_DBG").is_ok() {
-                    eprintln!(
-                        "[dbg] terminate: resync (spec_head {} tail {})",
-                        run.qa.spec_head(),
-                        run.qa.tail()
-                    );
-                }
                 return EngineCmd::Terminate;
             }
             return EngineCmd::None;
@@ -639,40 +584,6 @@ impl PreExecEngine for PhelpsEngine {
     }
 
     fn side_fetch(&mut self, tid: usize, _cycle: u64) -> Option<SideInst> {
-        if _cycle.is_multiple_of(100_000) && tid == HT_A && std::env::var("PHELPS_DBG").is_ok() {
-            if let Some(run) = self.active.as_ref() {
-                eprintln!(
-                    "[dbg] cycle={} seq_a iter={} state={:?} qa h/s/t={}/{}/{} visits={}",
-                    _cycle,
-                    run.seq_a.iteration,
-                    match &run.seq_a.state {
-                        SeqState::Idle => "idle",
-                        SeqState::Moves(..) => "moves",
-                        SeqState::Run { .. } => "run",
-                        SeqState::Stopped => "stopped",
-                    },
-                    run.qa.head(),
-                    run.qa.spec_head(),
-                    run.qa.tail(),
-                    run.visitq.len()
-                );
-                if let (Some(qb), Some(sb)) = (run.qb.as_ref(), run.seq_b.as_ref()) {
-                    eprintln!(
-                        "[dbg]   seq_b iter={} state={:?} qb h/s/t={}/{}/{}",
-                        sb.iteration,
-                        match &sb.state {
-                            SeqState::Idle => "idle",
-                            SeqState::Moves(..) => "moves",
-                            SeqState::Run { .. } => "run",
-                            SeqState::Stopped => "stopped",
-                        },
-                        qb.head(),
-                        qb.spec_head(),
-                        qb.tail()
-                    );
-                }
-            }
-        }
         let run = self.active.as_mut()?;
         let nested = run.entry.is_nested();
         let (seqr, q) = match tid {
@@ -820,7 +731,6 @@ impl PreExecEngine for PhelpsEngine {
                 tlm::count(tlm::Counter::PredDeposits);
             }
             SideKind::HeaderBranch => {
-                self.dbg_headers_retired += 1;
                 q.deposit(inst.pc, info.taken);
                 tlm::count(tlm::Counter::PredDeposits);
                 if !info.taken {
@@ -852,18 +762,6 @@ impl PreExecEngine for PhelpsEngine {
     }
 
     fn on_terminated(&mut self) {
-        if std::env::var("PHELPS_DBG").is_ok() {
-            if let Some(run) = self.active.as_ref() {
-                eprintln!(
-                    "[dbg] terminated: visits_enq={} rejects={} qa t={} seq_a it={} headers_seen={}",
-                    run.visitq.enqueued,
-                    run.visitq.full_rejections,
-                    run.qa.tail(),
-                    run.seq_a.iteration,
-                    self.dbg_headers_retired
-                );
-            }
-        }
         self.active = None;
     }
 }

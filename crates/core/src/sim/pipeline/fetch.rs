@@ -138,15 +138,6 @@ impl<E: PreExecEngine> Pipeline<E> {
                     QueueLookup::Hit(p) => {
                         self.ctx.stats.preds_from_queue += 1;
                         tlm::count(tlm::Counter::PredConsumeHits);
-                        if p != actual && std::env::var("PHELPS_DBG").is_ok() {
-                            eprintln!(
-                                "[dbg] cycle={} pc={pc:#x} queue={} actual={} ckpt={:?}",
-                                self.ctx.cycle,
-                                p,
-                                actual,
-                                engine.checkpoint()
-                            );
-                        }
                         return (p, PredFrom::Queue, default_pred);
                     }
                     QueueLookup::Untimely => {

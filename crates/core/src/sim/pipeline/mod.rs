@@ -52,7 +52,7 @@ use phelps_uarch::bpred::{DirectionPredictor, HistoryCheckpoint, TageScL};
 use phelps_uarch::config::{ActiveThreads, CoreConfig, PartitionPlan};
 use phelps_uarch::mem::{MemoryHierarchy, Uncore};
 use phelps_uarch::stats::SimStats;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::sim::types::EngineCkpt;
 use slab::{InstMeta, InstSlab, Lane, NO_DEP};
@@ -401,11 +401,6 @@ struct SimContext {
     thread_priority: usize,
     /// Explicit quota override: (main thread, side thread).
     quotas: Option<(ThreadQuota, ThreadQuota)>,
-    /// Per-branch-PC queue accuracy: (consumed, wrong). Debug aid dumped
-    /// under PHELPS_DBG at the end of a run.
-    queue_acc: HashMap<u64, (u64, u64)>,
-    /// Debug: (enabled, suppressed) side-store commits, and MT stores.
-    dbg_stores: (u64, u64, u64),
     /// Load PCs that previously caused an ordering violation: they wait
     /// for older stores' addresses before issuing (a store-set-style
     /// memory-dependence predictor — without it, every loop-carried
@@ -485,8 +480,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             breakdown: MispredictBreakdown::new(),
             thread_priority: 0,
             quotas: None,
-            queue_acc: HashMap::new(),
-            dbg_stores: (0, 0, 0),
             violating_loads: std::collections::HashSet::new(),
             finished: false,
             retire_log: None,
@@ -603,18 +596,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             self.cycle_bound()
         );
         self.flush_mem_stats();
-        if std::env::var("PHELPS_DBG").is_ok() {
-            let mut rows: Vec<(u64, (u64, u64))> =
-                self.ctx.queue_acc.iter().map(|(k, v)| (*k, *v)).collect();
-            rows.sort_unstable();
-            for (pc, (n, w)) in rows {
-                eprintln!("[dbg] queue pc={pc:#x} consumed={n} wrong={w}");
-            }
-            eprintln!(
-                "[dbg] stores: side enabled={} suppressed={} mt={}",
-                self.ctx.dbg_stores.0, self.ctx.dbg_stores.1, self.ctx.dbg_stores.2
-            );
-        }
         self.ctx.stats.cycles = self.ctx.cycle;
         self.ctx.breakdown.retired = self.ctx.stats.mt_retired;
         let retire_log = self.ctx.retire_log.take();

@@ -75,7 +75,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             self.ctx.threads[MT].regs[dst.index()] = rec.rd_value;
         }
         if let Inst::Store { width, .. } = rec.inst {
-            self.ctx.dbg_stores.2 += 1;
             self.ctx
                 .timing_mem
                 .write(rec.mem_addr, width, rec.store_data);
@@ -92,13 +91,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             let predicted = di.predicted.unwrap_or(rec.taken);
             self.ctx.bpred.update(rec.pc, rec.taken, predicted);
             default_wrong = di.default_pred.unwrap_or(rec.taken) != rec.taken;
-            if di.pred_from == PredFrom::Queue {
-                let e = self.ctx.queue_acc.entry(rec.pc).or_insert((0, 0));
-                e.0 += 1;
-                if di.mispredicted {
-                    e.1 += 1;
-                }
-            }
             if di.mispredicted {
                 self.ctx.stats.mt_mispredicts += 1;
                 tlm::count(tlm::Counter::MtMispredicts);
@@ -219,13 +211,6 @@ impl<E: PreExecEngine> Pipeline<E> {
         // Commit predicate values for late consumers.
         if let SideKind::PredProducer { dest } = side.kind {
             self.ctx.threads[tid].pred_vals[dest as usize] = (di.enabled, di.taken);
-        }
-        if di.inst.is_store() {
-            if di.enabled {
-                self.ctx.dbg_stores.0 += 1;
-            } else {
-                self.ctx.dbg_stores.1 += 1;
-            }
         }
         // Stores commit to the private cache only when predicated-true.
         if di.inst.is_store() && di.enabled {

@@ -21,9 +21,9 @@
 //!    ensemble and serializes it as versioned JSON with exact
 //!    bit-pattern floats under `results/proxy/`.
 //!
-//! Consumers: the `phelps-proxy` CLI (`train` / `eval` / `predict`),
-//! the bench runner's `PHELPS_PROXY=off|triage|strict` sweep triage,
-//! and the `phelps-serve` daemon's predicted fast path.
+//! The only consumer is the `phelps-proxy` CLI (`train` / `eval` /
+//! `predict`). No runner, figure binary or daemon path uses the model:
+//! every result they report is a simulation or a cache hit of one.
 
 pub mod dataset;
 pub mod features;

@@ -25,7 +25,6 @@ fn usage() -> ExitCode {
          commands:\n\
          \x20 serve     [--addr=HOST:PORT] [--workers=N] [--queue-cap=N]\n\
          \x20           [--cache-dir=PATH] [--no-cache] [--session-cap=N]\n\
-         \x20           [--proxy-model=PATH] [--no-proxy]\n\
          \x20 submit    --port=N --workload=NAME [--mode=LABEL]\n\
          \x20           [--region=N] [--epoch=N] [--id=STRING]\n\
          \x20           [--corun=NAME]  (co-schedule against a baseline neighbor)\n\
@@ -118,11 +117,6 @@ fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
     } else if let Some(dir) = opts.get("cache-dir") {
         cfg.cache_dir = Some(PathBuf::from(dir));
     }
-    if opts.get("no-proxy").is_some() {
-        cfg.proxy_model = None;
-    } else if let Some(model) = opts.get("proxy-model") {
-        cfg.proxy_model = Some(PathBuf::from(model));
-    }
     if let Some(dir) = &cfg.cache_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create cache dir {}: {e}", dir.display()))?;
@@ -131,14 +125,12 @@ fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
         TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
     let report = phelps_serve::serve_on(listener, cfg).map_err(|e| e.to_string())?;
     eprintln!(
-        "[serve] {} simulated, {} dedup (in-flight {}, session {}, disk {}), \
-         {} predicted, {} busy",
+        "[serve] {} simulated, {} dedup (in-flight {}, session {}, disk {}), {} busy",
         report.stats.simulated,
         report.stats.dedup_in_flight + report.stats.session_hits + report.stats.disk_hits,
         report.stats.dedup_in_flight,
         report.stats.session_hits,
         report.stats.disk_hits,
-        report.stats.proxy_predicted,
         report.stats.busy_rejections,
     );
     Ok(ExitCode::SUCCESS)

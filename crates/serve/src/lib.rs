@@ -23,4 +23,4 @@ pub mod server;
 
 pub use client::{Client, JobOutcome};
 pub use protocol::{Dedup, Request, Response, ServerStats, Submit};
-pub use server::{default_cache_dir, serve_on, spawn, ServeConfig, ServeReport, ServerHandle};
+pub use server::{serve_on, spawn, ServeConfig, ServeReport, ServerHandle};

@@ -67,9 +67,6 @@ pub enum Dedup {
     Session,
     /// Served from the shared on-disk result cache.
     Cached,
-    /// Synthesized by the proxy model from the cell's anchor telemetry
-    /// (`PHELPS_PROXY`): the counters are estimates, not measurements.
-    Predicted,
 }
 
 impl Dedup {
@@ -80,7 +77,6 @@ impl Dedup {
             Dedup::InFlight => "in_flight",
             Dedup::Session => "session",
             Dedup::Cached => "cached",
-            Dedup::Predicted => "predicted",
         }
     }
 
@@ -91,7 +87,6 @@ impl Dedup {
             "in_flight" => Dedup::InFlight,
             "session" => Dedup::Session,
             "cached" => Dedup::Cached,
-            "predicted" => Dedup::Predicted,
             _ => return None,
         })
     }
@@ -110,8 +105,6 @@ pub struct ServerStats {
     pub session_hits: u64,
     /// Submissions served from the on-disk result cache.
     pub disk_hits: u64,
-    /// Submissions answered by the proxy model's predicted fast path.
-    pub proxy_predicted: u64,
     /// Submissions rejected because the queue was full.
     pub busy_rejections: u64,
     /// Frames that failed to parse or validate.
@@ -416,14 +409,13 @@ pub fn encode_response(resp: &Response) -> String {
     j.finish()
 }
 
-fn stats_fields(s: &ServerStats) -> [(&'static str, u64); 10] {
+fn stats_fields(s: &ServerStats) -> [(&'static str, u64); 9] {
     [
         ("accepted", s.accepted),
         ("simulated", s.simulated),
         ("dedup_in_flight", s.dedup_in_flight),
         ("session_hits", s.session_hits),
         ("disk_hits", s.disk_hits),
-        ("proxy_predicted", s.proxy_predicted),
         ("busy_rejections", s.busy_rejections),
         ("malformed", s.malformed),
         ("queue_depth", s.queue_depth),
@@ -477,7 +469,6 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                 dedup_in_flight: u("dedup_in_flight")?,
                 session_hits: u("session_hits")?,
                 disk_hits: u("disk_hits")?,
-                proxy_predicted: u("proxy_predicted")?,
                 busy_rejections: u("busy_rejections")?,
                 malformed: u("malformed")?,
                 queue_depth: u("queue_depth")?,

@@ -13,18 +13,12 @@
 //!    live stream to the shared result.
 //! 3. **cached** — the shared on-disk result cache (the same files the
 //!    batch runner reads/writes) already holds the cell.
-//! 4. **predicted** — with a proxy model loaded (`PHELPS_PROXY`), a
-//!    non-baseline cell whose baseline *anchor* is already known (in
-//!    session memory or the disk cache) and whose prediction clears the
-//!    model's confidence gate answers immediately with synthesized
-//!    counters (`"dedup":"predicted"`); predicted results never enter
-//!    the cache or session memory.
-//! 5. **fresh** — the cell is pushed onto the bounded submission queue;
+//! 4. **fresh** — the cell is pushed onto the bounded submission queue;
 //!    a full queue answers `busy` instead of stalling the accept loop.
 //!
 //! Workers pop the queue and execute through the same
-//! [`execute_cell`] entry point as the batch runner, with a telemetry
-//! [`SampleSink`] that broadcasts each closing epoch to every
+//! [`execute_cell_prepared`] entry point as the batch runner, with a
+//! telemetry [`SampleSink`] that broadcasts each closing epoch to every
 //! subscriber. A client that disconnects mid-stream loses nothing but
 //! its own copy: the job runs to completion and the result still lands
 //! in the cache and the session table.
@@ -44,7 +38,7 @@ use crate::codec::{self, FrameReader};
 use crate::protocol::{
     encode_response, parse_mode, parse_request, Dedup, Request, Response, ServerStats, Submit,
 };
-use phelps::sim::{simulate_corun_pair, Mode, RunConfig, SimResult};
+use phelps::sim::{simulate_corun_pair, Mode, RunConfig};
 use phelps_bench::ckpt_support::CkptPolicy;
 use phelps_bench::exec::{execute_cell_prepared, CellOutcome, CellRequest, ExecPolicy};
 use phelps_bench::runner::cache;
@@ -79,8 +73,6 @@ pub struct ServeConfig {
     pub retry_after_ms: u64,
     /// Completed jobs kept in session memory for epoch replay.
     pub session_capacity: usize,
-    /// Proxy model for the predicted fast path; `None` disables it.
-    pub proxy_model: Option<PathBuf>,
     /// Suppress the listening/shutdown log lines.
     pub quiet: bool,
 }
@@ -91,38 +83,11 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             queue_capacity: 64,
-            cache_dir: default_cache_dir(),
+            cache_dir: phelps_bench::cache_dir_from_env(),
             retry_after_ms: 100,
             session_capacity: 256,
-            proxy_model: default_proxy_model(),
             quiet: false,
         }
-    }
-}
-
-/// The batch runner's cache-directory policy, shared verbatim:
-/// `PHELPS_CACHE_DIR` overrides `results/cache/`; `PHELPS_NO_CACHE=1`
-/// disables the cache entirely.
-pub fn default_cache_dir() -> Option<PathBuf> {
-    if std::env::var("PHELPS_NO_CACHE").is_ok_and(|v| v != "0") {
-        return None;
-    }
-    Some(
-        std::env::var("PHELPS_CACHE_DIR")
-            .ok()
-            .filter(|s| !s.is_empty())
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("results/cache")),
-    )
-}
-
-/// The batch runner's proxy policy, shared verbatim: a predicted fast
-/// path only when `PHELPS_PROXY` asks for one (`triage`/`strict`), with
-/// the model at `PHELPS_PROXY_MODEL` (default `results/proxy/model.json`).
-pub fn default_proxy_model() -> Option<PathBuf> {
-    match phelps_bench::proxy_mode() {
-        phelps_bench::ProxyMode::Off => None,
-        _ => Some(phelps_bench::proxy_model_path()),
     }
 }
 
@@ -227,11 +192,8 @@ struct Shared {
     dedup_in_flight: AtomicU64,
     session_hits: AtomicU64,
     disk_hits: AtomicU64,
-    proxy_predicted: AtomicU64,
     busy_rejections: AtomicU64,
     malformed: AtomicU64,
-    /// Proxy model for the predicted fast path, loaded once at startup.
-    proxy: Option<phelps_proxy::ProxyModel>,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -240,20 +202,9 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 
 impl Shared {
     fn new(cfg: ServeConfig, addr: SocketAddr) -> Shared {
-        let proxy =
-            cfg.proxy_model.as_deref().and_then(|path| {
-                match phelps_proxy::ProxyModel::load(path) {
-                    Ok(m) => Some(m),
-                    Err(e) => {
-                        eprintln!("warning: proxy fast path disabled: {e}");
-                        None
-                    }
-                }
-            });
         Shared {
             cfg,
             addr,
-            proxy,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             jobs: Mutex::new(JobTable::default()),
@@ -263,7 +214,6 @@ impl Shared {
             dedup_in_flight: AtomicU64::new(0),
             session_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
-            proxy_predicted: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
         }
@@ -296,7 +246,6 @@ impl Shared {
             dedup_in_flight: self.dedup_in_flight.load(Ordering::SeqCst),
             session_hits: self.session_hits.load(Ordering::SeqCst),
             disk_hits: self.disk_hits.load(Ordering::SeqCst),
-            proxy_predicted: self.proxy_predicted.load(Ordering::SeqCst),
             busy_rejections: self.busy_rejections.load(Ordering::SeqCst),
             malformed: self.malformed.load(Ordering::SeqCst),
             queue_depth,
@@ -305,27 +254,16 @@ impl Shared {
     }
 }
 
-fn effective_workers(cfg: &ServeConfig) -> usize {
-    if cfg.workers > 0 {
-        return cfg.workers;
-    }
-    match std::env::var("PHELPS_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-    }
-}
-
 /// Runs the daemon on an already-bound listener until a `shutdown`
 /// request drains it. This is the blocking entry point; [`spawn`] wraps
 /// it for embedding.
 pub fn serve_on(listener: TcpListener, cfg: ServeConfig) -> io::Result<ServeReport> {
     let addr = listener.local_addr()?;
-    let workers = effective_workers(&cfg);
+    let workers = if cfg.workers > 0 {
+        cfg.workers
+    } else {
+        phelps_bench::resolved_jobs()
+    };
     let quiet = cfg.quiet;
     let shared = Arc::new(Shared::new(cfg, addr));
     if !quiet {
@@ -593,17 +531,6 @@ fn handle_submit(shared: &Arc<Shared>, sub: Submit, tx: &mpsc::Sender<String>) {
                     return;
                 }
             }
-            if let Some(result) = proxy_predict(shared, &jobs, &sub, &run_cfg, &request.key, shards)
-            {
-                shared.proxy_predicted.fetch_add(1, Ordering::SeqCst);
-                send(&accepted);
-                send(&Response::Result {
-                    id: sub.id,
-                    dedup: Dedup::Predicted,
-                    result: Box::new(result),
-                });
-                return;
-            }
             // Fresh cell: admit it only if the bounded queue has room.
             // The job-table entry is created under the same `jobs` lock
             // that workers take to publish epochs/results, so a worker
@@ -642,72 +569,6 @@ fn handle_submit(shared: &Arc<Shared>, sub: Submit, tx: &mpsc::Sender<String>) {
             send(&accepted);
         }
     }
-}
-
-/// The proxy fast path: predicts a non-baseline cell from its baseline
-/// anchor's measured counters, mirroring the batch runner's triage.
-/// Returns `None` — falling through to fresh simulation — unless a
-/// model is loaded, an anchor measurement already exists (session
-/// memory or the disk cache), and the prediction clears the model's
-/// confidence gate (IPC uncertainty within `tau`). Predicted results
-/// are estimates: they are never cached, never stored in session
-/// memory, and stream no epoch frames.
-fn proxy_predict(
-    shared: &Shared,
-    jobs: &JobTable,
-    sub: &Submit,
-    run_cfg: &RunConfig,
-    key: &str,
-    shards: usize,
-) -> Option<SimResult> {
-    let model = shared.proxy.as_ref()?;
-    if sub.mode == "baseline" {
-        return None; // anchors always simulate for real
-    }
-    if sub.corun.is_some() {
-        return None; // the model is trained on solo anchors only
-    }
-    // The anchor is the baseline cell of the same workload, region, and
-    // shard decomposition, fingerprinted exactly as a submission would be.
-    let anchor_cfg = RunConfig::quick(Mode::Baseline, run_cfg.max_mt_insts, run_cfg.epoch_len);
-    let anchor_key = if shards > 1 {
-        format!("{anchor_cfg:?}|shards={shards}")
-    } else {
-        format!("{anchor_cfg:?}")
-    };
-    let anchor_fp = CellRequest {
-        experiment: "serve".to_string(),
-        workload: sub.workload.clone(),
-        config: "baseline".to_string(),
-        key: anchor_key,
-    }
-    .fingerprint();
-    let anchor = match jobs.entries.get(&anchor_fp) {
-        Some(JobEntry::Done(rec)) => Some(rec.result.clone()),
-        _ => shared
-            .cfg
-            .cache_dir
-            .as_ref()
-            .and_then(|dir| cache::load(dir, &anchor_fp)),
-    }?;
-    if anchor.stats.cycles == 0 || anchor.stats.mt_retired == 0 {
-        return None;
-    }
-    let x =
-        phelps_proxy::feature_vector(&phelps_proxy::anchor_slots_from_stats(&anchor.stats), key);
-    let p = model.predict(&x);
-    if !p.ipc.is_finite() || !p.mpki.is_finite() || p.ipc_uncertainty > model.tau_ipc() {
-        return None;
-    }
-    let mut breakdown = phelps::classify::MispredictBreakdown::new();
-    breakdown.retired = anchor.breakdown.retired;
-    Some(SimResult {
-        stats: phelps_proxy::synthesize_stats(&anchor.stats, p.ipc, p.mpki),
-        breakdown,
-        telemetry: None,
-        retire_log: None,
-        final_state: None,
-    })
 }
 
 /// Worker: pop → execute → publish, until shutdown *and* an empty queue

@@ -19,15 +19,6 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn daemon(workers: usize, queue_capacity: usize, cache_dir: &Path) -> server::ServerHandle {
-    daemon_with_proxy(workers, queue_capacity, cache_dir, None)
-}
-
-fn daemon_with_proxy(
-    workers: usize,
-    queue_capacity: usize,
-    cache_dir: &Path,
-    proxy_model: Option<PathBuf>,
-) -> server::ServerHandle {
     server::spawn(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers,
@@ -35,7 +26,6 @@ fn daemon_with_proxy(
         cache_dir: Some(cache_dir.to_path_buf()),
         retry_after_ms: 50,
         session_capacity: 32,
-        proxy_model,
         quiet: true,
     })
     .expect("bind daemon")
@@ -429,95 +419,5 @@ fn corun_submissions_simulate_against_a_neighbor() {
     assert_eq!(stats.session_hits, 1);
     drop(cl);
     shutdown(handle);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// With a proxy model loaded, a non-baseline cell whose baseline anchor
-/// already ran answers from the predicted fast path: no simulation, no
-/// epoch stream, `"dedup":"predicted"` — and the synthesized result is
-/// never cached or stored in session memory.
-#[test]
-fn proxy_model_answers_confident_cells_without_simulating() {
-    const REGION: u64 = 12_000;
-    const EPOCH: u64 = 2_000;
-    let modes = [
-        "baseline",
-        "perfect_bp",
-        "partition_only",
-        "phelps",
-        "phelps:b1",
-        "phelps:b1b2",
-        "phelps:b1s1",
-    ];
-
-    // Phase 1: fully simulate the training matrix into a cache.
-    let train_dir = scratch("proxy-train");
-    let handle = daemon(2, 64, &train_dir);
-    let mut cl = client(&handle);
-    for workload in ["astar", "bfs"] {
-        for mode in modes {
-            let out = cl
-                .submit(cell(
-                    &format!("t-{workload}-{mode}"),
-                    workload,
-                    mode,
-                    REGION,
-                    EPOCH,
-                ))
-                .unwrap();
-            assert!(out.result.is_some(), "training cell {workload}/{mode} ran");
-        }
-    }
-    drop(cl);
-    shutdown(handle);
-
-    // Phase 2: train a model from that cache.
-    let cells = phelps_proxy::scan(&train_dir);
-    assert_eq!(cells.len(), 14, "one cache entry per training cell");
-    let (examples, _) = phelps_proxy::build_examples(&cells);
-    let model = phelps_proxy::train_from_examples(&examples, 42, 4).expect("trainable");
-    let model_path = train_dir.join("model.json");
-    model.save(&model_path).expect("model saves");
-
-    // Phase 3: fresh cache, proxy-enabled daemon. The anchor simulates;
-    // the dependent cell answers from the fast path.
-    let dir = scratch("proxy-serve");
-    let handle = daemon_with_proxy(1, 8, &dir, Some(model_path));
-    let mut cl = client(&handle);
-    let anchor = cl
-        .submit(cell("anchor", "astar", "baseline", REGION, EPOCH))
-        .unwrap();
-    let (da, ra) = anchor.result.as_ref().expect("anchor result");
-    assert_eq!(*da, Dedup::Simulated, "the anchor always simulates");
-
-    let predicted = cl
-        .submit(cell("fast", "astar", "phelps", REGION, EPOCH))
-        .unwrap();
-    let (dp, rp) = predicted.result.as_ref().expect("predicted result");
-    assert_eq!(*dp, Dedup::Predicted);
-    assert!(predicted.epochs.is_empty(), "no epoch stream for estimates");
-    assert!(rp.stats.ipc().is_finite() && rp.stats.ipc() > 0.0);
-    assert_eq!(rp.stats.mt_retired, ra.stats.mt_retired);
-
-    // A repeat answers from the fast path again (predictions never
-    // enter session memory), bit-identically.
-    let again = cl
-        .submit(cell("fast-2", "astar", "phelps", REGION, EPOCH))
-        .unwrap();
-    let (dq, rq) = again.result.as_ref().expect("repeat result");
-    assert_eq!(*dq, Dedup::Predicted);
-    assert_eq!(format!("{:?}", rq.stats), format!("{:?}", rp.stats));
-
-    let stats = cl.stats().unwrap();
-    assert_eq!(stats.simulated, 1, "only the anchor simulated");
-    assert_eq!(stats.proxy_predicted, 2);
-    assert_eq!(
-        std::fs::read_dir(&dir).unwrap().count(),
-        1,
-        "predicted results never reach the on-disk cache"
-    );
-    drop(cl);
-    shutdown(handle);
-    let _ = std::fs::remove_dir_all(&train_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }

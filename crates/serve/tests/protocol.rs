@@ -161,12 +161,15 @@ fn control_responses_round_trip() {
         dedup_in_flight: 5,
         session_hits: 7,
         disk_hits: 1,
-        proxy_predicted: 6,
         busy_rejections: 2,
         malformed: 3,
         queue_depth: 1,
         in_flight: 2,
     };
+    assert_eq!(
+        encode_response(&Response::Stats(stats)),
+        r#"{"type":"stats","accepted":4,"simulated":4,"dedup_in_flight":5,"session_hits":7,"disk_hits":1,"busy_rejections":2,"malformed":3,"queue_depth":1,"in_flight":2}"#
+    );
     for (line, check) in [
         (
             encode_response(&Response::Accepted {
@@ -249,8 +252,22 @@ fn mode_vocabulary_is_complete() {
         Dedup::InFlight,
         Dedup::Session,
         Dedup::Cached,
-        Dedup::Predicted,
     ] {
         assert_eq!(Dedup::parse(d.label()), Some(d));
     }
+}
+
+#[test]
+fn predicted_result_frame_is_rejected() {
+    // Every result is a simulation or a cache hit of one; a frame that
+    // claims otherwise decodes to an error, not a panic.
+    let line = encode_response(&Response::Result {
+        id: "p".to_string(),
+        dedup: Dedup::Cached,
+        result: Box::new(result()),
+    })
+    .replacen(r#""dedup":"cached""#, r#""dedup":"predicted""#, 1);
+    assert!(line.contains(r#""dedup":"predicted""#));
+    let err = parse_response(&line).unwrap_err();
+    assert!(err.contains("unknown dedup label"), "{err}");
 }

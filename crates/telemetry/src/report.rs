@@ -139,7 +139,8 @@ impl Default for Report {
 pub const EPOCH_FEATURES: usize = 6;
 
 /// Column names of [`Report::epoch_feature_rows`], in order. The first
-/// six telemetry slots of the `phelps-proxy` feature vector use the
+/// six telemetry slots of the learned proxy's feature vector
+/// (`crates/proxy`) use the
 /// same definitions, so a prefix of the epoch series and a whole-run
 /// stats bundle feed the same model.
 pub const EPOCH_FEATURE_NAMES: [&str; EPOCH_FEATURES] = [
