@@ -12,8 +12,8 @@
 //!
 //! ## Environment variables
 //!
-//! * `PHELPS_NO_CKPT=1` (or `PHELPS_CKPT=0`) — disable checkpointing and
-//!   fast-forward functionally, exactly as before this module existed;
+//! * `PHELPS_NO_CKPT=1` — disable checkpointing and fast-forward
+//!   functionally, exactly as before this module existed;
 //! * `PHELPS_CKPT_DIR` — checkpoint directory (default `results/ckpt`);
 //! * `PHELPS_CKPT_WARM` — functional-warming window W (default 0): the
 //!   last W pre-region instructions are replayed through the cache
@@ -23,15 +23,12 @@
 //! ## Accounting
 //!
 //! Every save/restore/fast-forward is timed into a process-global
-//! [`Totals`] (printed as a one-line `[ckpt]` stderr summary by
-//! [`print_summary`]) and mirrored into the [`phelps_telemetry`]
-//! counters `ckpt_hits` / `ckpt_misses` / `ckpt_save_ns` /
-//! `ckpt_restore_ns` / `ckpt_skipped_insts` when a registry is
-//! installed.
+//! [`Totals`], printed as a one-line `[ckpt]` stderr summary by
+//! [`print_summary`]. That line is the one checkpoint accounting:
+//! telemetry reports describe only the timed region.
 
 use phelps_ckpt::{self as ckpt, CheckpointStore, RegionKey, Snapshot};
 use phelps_isa::{Cpu, EmuError, ExecRecord};
-use phelps_telemetry as tlm;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -51,13 +48,10 @@ pub struct CkptPolicy {
 }
 
 impl CkptPolicy {
-    /// Reads `PHELPS_CKPT` / `PHELPS_NO_CKPT` / `PHELPS_CKPT_DIR` /
-    /// `PHELPS_CKPT_WARM`.
+    /// Reads `PHELPS_NO_CKPT` / `PHELPS_CKPT_DIR` / `PHELPS_CKPT_WARM`.
     pub fn from_env() -> CkptPolicy {
-        let off = std::env::var("PHELPS_NO_CKPT").is_ok_and(|v| v != "0")
-            || std::env::var("PHELPS_CKPT").is_ok_and(|v| v == "0");
         CkptPolicy {
-            enabled: !off,
+            enabled: !std::env::var("PHELPS_NO_CKPT").is_ok_and(|v| v != "0"),
             dir: std::env::var("PHELPS_CKPT_DIR")
                 .ok()
                 .filter(|s| !s.is_empty())
@@ -175,9 +169,6 @@ pub fn region_cpu_with(
                 tot.restore_ns += ns;
                 tot.skipped_insts += snap.state.retired;
             });
-            tlm::count(tlm::Counter::CkptHits);
-            tlm::add(tlm::Counter::CkptRestoreNs, ns);
-            tlm::add(tlm::Counter::CkptSkippedInsts, snap.state.retired);
             return Ok((restored.cpu, restored.warm));
         }
         eprintln!(
@@ -190,7 +181,6 @@ pub fn region_cpu_with(
     // Miss: fast-forward (capturing W early), persist, then replay the
     // warm window so this run behaves exactly like a future hit.
     with_totals(|tot| tot.misses += 1);
-    tlm::count(tlm::Counter::CkptMisses);
     let t = Instant::now();
     let snap = capture_one(&mut cpu, skip, policy.warm)?;
     let mut ff_ns = elapsed_ns(t);
@@ -206,7 +196,6 @@ pub fn region_cpu_with(
         tot.ff_ns += ff_ns;
         tot.ff_insts += skip;
     });
-    tlm::add(tlm::Counter::CkptSaveNs, save_ns);
     Ok((restored.cpu, restored.warm))
 }
 
@@ -267,7 +256,6 @@ pub fn ensure_region_checkpoints_with(
         tot.ff_ns += ff_ns;
         tot.ff_insts += ff_insts;
     });
-    tlm::add(tlm::Counter::CkptSaveNs, save_ns);
     Ok(())
 }
 

@@ -87,8 +87,8 @@ pub struct CellOutcome {
 /// The job receives the policy's telemetry config and decides where and
 /// when to install it: a single-threaded simulation installs it on the
 /// calling thread, a sharded one installs a registry per shard thread
-/// *after* checkpoint positioning (so nondeterministic restore
-/// wall-clock counters stay out of the merged report).
+/// *after* checkpoint positioning (so each registry covers only the
+/// timed region).
 pub fn execute_cell_prepared(
     req: &CellRequest,
     policy: &ExecPolicy,

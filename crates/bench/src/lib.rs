@@ -165,8 +165,8 @@ pub struct SimPointRun {
 /// prototype `cpu` is constructed once by the caller and cloned per use
 /// (profile pass, pre-capture pass, one clone per shard). A region whose
 /// pre-region skip faults is skipped with a warning. `telemetry`, when
-/// set, is installed per shard after checkpoint positioning, so
-/// nondeterministic restore-time counters stay out of the merged report.
+/// set, is installed per shard after checkpoint positioning, so each
+/// registry covers only the timed region.
 ///
 /// The output is deterministic in `workers`: shards are independent and
 /// fold in point order, so any worker count yields byte-identical

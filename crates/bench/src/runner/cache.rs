@@ -55,41 +55,6 @@ pub fn cell_path(dir: &Path, fingerprint: &str) -> PathBuf {
     dir.join(format!("{:016x}.json", fnv1a(fingerprint)))
 }
 
-/// Every (name, value) stat pair, in declaration order.
-fn stat_fields(s: &SimStats) -> [(&'static str, u64); 29] {
-    [
-        ("cycles", s.cycles),
-        ("mt_retired", s.mt_retired),
-        ("ht_retired", s.ht_retired),
-        ("mt_cond_branches", s.mt_cond_branches),
-        ("mt_mispredicts", s.mt_mispredicts),
-        ("mispredicts_from_queue", s.mispredicts_from_queue),
-        ("preds_from_queue", s.preds_from_queue),
-        ("queue_untimely", s.queue_untimely),
-        ("load_violations", s.load_violations),
-        ("triggers", s.triggers),
-        ("terminations", s.terminations),
-        ("l1i_accesses", s.l1i_accesses),
-        ("l1i_misses", s.l1i_misses),
-        ("l1d_accesses", s.l1d_accesses),
-        ("l1d_misses", s.l1d_misses),
-        ("l1d_store_accesses", s.l1d_store_accesses),
-        ("l1d_store_misses", s.l1d_store_misses),
-        ("l2_misses", s.l2_misses),
-        ("l3_misses", s.l3_misses),
-        ("prefetches_issued", s.prefetches_issued),
-        ("prefetch_hits", s.prefetch_hits),
-        ("mt_fetch_stall_mispredict", s.mt_fetch_stall_mispredict),
-        ("mt_fetch_stall_trigger", s.mt_fetch_stall_trigger),
-        ("mt_fetch_stall_ifetch", s.mt_fetch_stall_ifetch),
-        ("l1i_port_stalls", s.l1i_port_stalls),
-        ("l1d_port_stalls", s.l1d_port_stalls),
-        ("l2_port_stalls", s.l2_port_stalls),
-        ("l3_port_stalls", s.l3_port_stalls),
-        ("dram_queue_stalls", s.dram_queue_stalls),
-    ]
-}
-
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -110,7 +75,7 @@ fn json_escape(s: &str) -> String {
 /// so a cached cell and a streamed result are byte-compatible.
 pub fn result_body_json(r: &SimResult) -> String {
     let mut j = String::from("\"stats\":{");
-    for (i, (k, v)) in stat_fields(&r.stats).iter().enumerate() {
+    for (i, (k, v)) in SimStats::NAMES.iter().zip(r.stats.to_array()).enumerate() {
         if i > 0 {
             j.push(',');
         }
@@ -146,45 +111,11 @@ pub(super) fn to_json(fingerprint: &str, r: &SimResult) -> String {
 }
 
 fn stats_from_json(v: &JsonValue) -> Option<SimStats> {
-    let mut s = SimStats::default();
-    let mut defaults = stat_fields(&s);
-    for (k, slot) in defaults.iter_mut() {
+    let mut values = [0; SimStats::LEN];
+    for (slot, k) in values.iter_mut().zip(SimStats::NAMES) {
         *slot = v.get(k)?.as_u64()?;
     }
-    let [cycles, mt_retired, ht_retired, mt_cond_branches, mt_mispredicts, mispredicts_from_queue, preds_from_queue, queue_untimely, load_violations, triggers, terminations, l1i_accesses, l1i_misses, l1d_accesses, l1d_misses, l1d_store_accesses, l1d_store_misses, l2_misses, l3_misses, prefetches_issued, prefetch_hits, mt_fetch_stall_mispredict, mt_fetch_stall_trigger, mt_fetch_stall_ifetch, l1i_port_stalls, l1d_port_stalls, l2_port_stalls, l3_port_stalls, dram_queue_stalls] =
-        defaults.map(|(_, v)| v);
-    s = SimStats {
-        cycles,
-        mt_retired,
-        ht_retired,
-        mt_cond_branches,
-        mt_mispredicts,
-        mispredicts_from_queue,
-        preds_from_queue,
-        queue_untimely,
-        load_violations,
-        triggers,
-        terminations,
-        l1i_accesses,
-        l1i_misses,
-        l1d_accesses,
-        l1d_misses,
-        l1d_store_accesses,
-        l1d_store_misses,
-        l2_misses,
-        l3_misses,
-        prefetches_issued,
-        prefetch_hits,
-        mt_fetch_stall_mispredict,
-        mt_fetch_stall_trigger,
-        mt_fetch_stall_ifetch,
-        l1i_port_stalls,
-        l1d_port_stalls,
-        l2_port_stalls,
-        l3_port_stalls,
-        dram_queue_stalls,
-    };
-    Some(s)
+    Some(SimStats::from_array(values))
 }
 
 /// Reconstructs a [`SimResult`] from a parsed JSON object containing the

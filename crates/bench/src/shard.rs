@@ -21,12 +21,11 @@
 //! `PHELPS_JOBS=1` and `PHELPS_JOBS=64` produce byte-identical merged
 //! stats and telemetry. CI enforces this (see `scripts/ci.sh`).
 //!
-//! Telemetry install ordering matters: the checkpoint layer records
-//! wall-clock nanosecond counters (`ckpt_save_ns`, `ckpt_restore_ns`)
-//! when a registry is installed, and wall-clock is not deterministic.
-//! [`run_shard`] therefore positions the CPU *first* and installs the
-//! shard's registry only for the timed region, keeping merged reports
-//! byte-stable.
+//! Telemetry install ordering: [`run_shard`] positions the CPU *first*
+//! and installs the shard's registry only for the timed region, so a
+//! shard's report describes the slice it simulated and nothing of how
+//! the CPU got there. Checkpoint work is accounted only in the
+//! process-global `[ckpt]` totals ([`crate::ckpt_support::Totals`]).
 
 use crate::ckpt_support::{self, CkptPolicy};
 use crate::exec;

@@ -16,7 +16,8 @@
 //! Checkpoints are pure functions of *architecture*, not of any timing
 //! configuration, so one file serves every mode/config combination. A
 //! [`RegionKey`] carries a 128-bit content hash over the workload label,
-//! the program text, the CPU's initial architectural state (PC, registers,
+//! the program (its base, length, and each instruction's `Debug`
+//! rendering), the CPU's initial architectural state (PC, registers,
 //! resident memory image), and `start_inst`. The hash both names the file
 //! and is embedded in it; a collision on the file name or a stale file
 //! therefore decodes as [`format::FormatError::StaleKey`] and degrades to
@@ -57,7 +58,7 @@
 
 pub mod format;
 
-use phelps_isa::{encode as encode_inst, Cpu, CpuState, EmuError, ExecRecord};
+use phelps_isa::{Cpu, CpuState, EmuError, ExecRecord};
 use std::path::{Path, PathBuf};
 
 pub use format::FormatError;
@@ -145,19 +146,16 @@ impl ContentHasher {
 
 /// Computes the region key for `cpu` in its *current* state. Call with
 /// the freshly-built workload CPU (before any fast-forward): the hash
-/// covers the label, program text, PC, registers, the resident memory
-/// image, and `start_inst` itself.
+/// covers the label, the program (base, length, and each instruction's
+/// `Debug` rendering, which spells out every field), PC, registers, the
+/// resident memory image, and `start_inst` itself.
 pub fn region_key(label: &str, cpu: &Cpu, start_inst: u64) -> RegionKey {
     let mut h = ContentHasher::new();
     h.write(label.as_bytes());
     h.write_u64(cpu.program().base());
     h.write_u64(cpu.program().len() as u64);
-    for (pc, inst) in cpu.program().iter() {
-        match encode_inst(inst, pc) {
-            Ok(word) => h.write(&word.to_le_bytes()),
-            // Unencodable (e.g. wide immediates): hash the rendering.
-            Err(_) => h.write(format!("{inst:?}").as_bytes()),
-        }
+    for (_, inst) in cpu.program().iter() {
+        h.write(format!("{inst:?}").as_bytes());
     }
     h.write_u64(cpu.pc());
     h.write_u64(cpu.retired());
@@ -475,6 +473,34 @@ mod tests {
         let mut zero_touch = Cpu::new(prog);
         zero_touch.mem.write_u8(0xf000, 0);
         assert_eq!(region_key("w", &zero_touch, 100).hash, base.hash);
+    }
+
+    #[test]
+    fn key_covers_every_instruction() {
+        // Same base and length; only the instruction `edit` emits differs.
+        fn key(edit: impl FnOnce(&mut Asm) -> &mut Asm) -> [u64; 2] {
+            let mut a = Asm::new(0x1000);
+            a.li(Reg::A0, 0);
+            a.label("top");
+            edit(&mut a);
+            a.label("next");
+            a.addi(Reg::A0, Reg::A0, 1);
+            a.j("top");
+            region_key("w", &Cpu::new(a.assemble().unwrap()), 100).hash
+        }
+        let addi5 = key(|a| a.addi(Reg::A1, Reg::A1, 5));
+        assert_eq!(addi5, key(|a| a.addi(Reg::A1, Reg::A1, 5)), "rebuilt");
+        assert_ne!(addi5, key(|a| a.addi(Reg::A1, Reg::A1, 6)), "immediate");
+        assert_ne!(
+            key(|a| a.li(Reg::A1, 1 << 40)),
+            key(|a| a.li(Reg::A1, (1 << 40) + 1)),
+            "li constant wider than 20 bits"
+        );
+        assert_ne!(
+            key(|a| a.beq(Reg::A0, Reg::A1, "top")),
+            key(|a| a.beq(Reg::A0, Reg::A1, "next")),
+            "branch target"
+        );
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl PhelpsEngine {
         self.active.is_some()
     }
 
-    /// The recorded ineligibility reasons (loop → reason).
-    pub fn ineligible_loops(&self) -> impl Iterator<Item = (&LoopBounds, &Ineligibility)> {
-        self.ineligible.iter()
-    }
-
     // ------------------------------------------------------------------
     // Feature ablations (Fig. 11 / Fig. 12b)
     // ------------------------------------------------------------------

@@ -139,11 +139,6 @@ impl Cpu {
         self.pc
     }
 
-    /// Redirects execution to `pc` (e.g. to start at a label).
-    pub fn set_pc(&mut self, pc: u64) {
-        self.pc = pc;
-    }
-
     /// Reads an architectural register.
     pub fn reg(&self, r: Reg) -> u64 {
         self.regs[r.index()]

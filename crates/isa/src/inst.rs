@@ -57,7 +57,7 @@ pub enum AluOp {
 
 impl AluOp {
     /// Every ALU operation, for exhaustive enumeration (instruction
-    /// generators, encoders, coverage checks).
+    /// generators, coverage checks).
     pub const ALL: [AluOp; 19] = [
         AluOp::Add,
         AluOp::Sub,
@@ -222,7 +222,7 @@ impl BranchCond {
     }
 }
 
-/// A decoded guest instruction.
+/// A guest instruction.
 ///
 /// Control-transfer targets are absolute PCs (resolved by the
 /// [assembler](crate::Asm)).

@@ -7,7 +7,10 @@
 //!
 //! The crate is freestanding — workloads are written directly against it —
 //! and every downstream crate (the cycle-level core, the Phelps machinery,
-//! the Branch Runahead baseline) consumes its types.
+//! the Branch Runahead baseline) consumes its types. Programs exist only
+//! as [`Inst`] values built through [`Asm`]. Every instruction takes
+//! [`INST_BYTES`] (4) bytes of address space, so PCs advance by 4 and
+//! the L1I fetches by PC.
 //!
 //! ## Quick tour
 //!
@@ -42,18 +45,14 @@
 
 mod asm;
 mod emu;
-mod encode;
 mod inst;
 mod mem;
-mod parse;
 mod program;
 mod reg;
 
 pub use asm::{Asm, AsmError};
 pub use emu::{Cpu, CpuState, EmuError, ExecRecord};
-pub use encode::{decode, encode, DecodeError, EncodeError};
 pub use inst::{AluOp, BranchCond, Inst, MemWidth, SrcRegs};
 pub use mem::{Memory, PAGE_BYTES};
-pub use parse::{parse_asm, ParseError};
 pub use program::{Program, INST_BYTES};
 pub use reg::{Reg, NUM_REGS};

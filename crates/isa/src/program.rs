@@ -4,7 +4,7 @@ use crate::Inst;
 use std::collections::HashMap;
 use std::fmt;
 
-/// Size of every guest instruction in bytes (fixed-length encoding).
+/// Size of every guest instruction in bytes: PCs advance by this much.
 pub const INST_BYTES: u64 = 4;
 
 /// An assembled guest program: a contiguous run of instructions at a base

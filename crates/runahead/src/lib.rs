@@ -34,7 +34,6 @@ pub use engine::{BrConfig, BrEngine};
 
 use phelps::sim::{Pipeline, RunConfig, SimResult, ThreadQuota};
 use phelps_isa::Cpu;
-use phelps_uarch::config::CoreConfig;
 
 /// Which Branch Runahead configuration to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -47,17 +46,18 @@ pub enum BrVariant {
     TwelveWide,
 }
 
-/// Runs a workload under Branch Runahead.
+/// Runs a workload under Branch Runahead on `cfg.core`.
 ///
 /// The partition is held for the full run (the paper's §VI methodology):
 /// the main thread gets half the frontend width, LQ and PRF but the whole
-/// ROB and SQ; BR-12w gives the main thread full baseline resources on a
-/// 12-wide core.
+/// ROB and SQ; BR-12w widens the core by half
+/// ([`br_12_wide`](phelps_uarch::config::CoreConfig::br_12_wide)) and
+/// gives the main thread the full resources of `cfg.core`.
 pub fn simulate_runahead(cpu: Cpu, cfg: &RunConfig, variant: BrVariant) -> SimResult {
-    let base = CoreConfig::paper_default();
+    let base = &cfg.core;
     let (core, mt_quota) = match variant {
         BrVariant::TwelveWide => (
-            CoreConfig::br_12_wide(),
+            base.clone().br_12_wide(),
             ThreadQuota {
                 width: base.width,
                 rob: base.rob,
@@ -85,12 +85,11 @@ pub fn simulate_runahead(cpu: Cpu, cfg: &RunConfig, variant: BrVariant) -> SimRe
         prf: base.prf / 2,
     };
 
-    let speculative = variant != BrVariant::NonSpeculative;
-    let mut engine = BrEngine::new(BrConfig {
-        speculative,
-        epoch_len: cfg.epoch_len,
-        delinq_threshold: cfg.delinq_threshold(),
-    });
+    let br = match variant {
+        BrVariant::NonSpeculative => BrConfig::non_speculative,
+        BrVariant::Speculative | BrVariant::TwelveWide => BrConfig::speculative,
+    };
+    let mut engine = BrEngine::new(br(cfg.epoch_len, cfg.delinq_threshold()));
     let mut regs = [0u64; phelps_isa::NUM_REGS];
     for r in phelps_isa::Reg::all() {
         regs[r.index()] = cpu.reg(r);
@@ -101,4 +100,54 @@ pub fn simulate_runahead(cpu: Cpu, cfg: &RunConfig, variant: BrVariant) -> SimRe
     let mut pipeline = Pipeline::new(cpu, core, &mode, Some(engine), cfg.max_mt_insts);
     pipeline.set_quotas(mt_quota, side_quota);
     pipeline.run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use phelps::sim::Mode;
+    use phelps_isa::{Asm, Reg};
+    use phelps_uarch::config::CoreConfig;
+
+    /// A loop whose branch follows pseudo-random array data.
+    fn data_dependent_loop() -> Cpu {
+        let n = 4_000;
+        let mut a = Asm::new(0x1000);
+        a.label("loop");
+        a.slli(Reg::T0, Reg::A1, 3);
+        a.add(Reg::T0, Reg::A0, Reg::T0);
+        a.ld(Reg::T1, Reg::T0, 0);
+        a.andi(Reg::T1, Reg::T1, 1);
+        a.beq(Reg::T1, Reg::ZERO, "skip");
+        a.addi(Reg::A3, Reg::A3, 7);
+        a.label("skip");
+        a.addi(Reg::A1, Reg::A1, 1);
+        a.bne(Reg::A1, Reg::A2, "loop");
+        a.halt();
+        let mut cpu = Cpu::new(a.assemble().unwrap());
+        let mut x = 42u64;
+        for i in 0..n {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            cpu.mem.write_u64(0x100000 + i * 8, x >> 33);
+        }
+        cpu.set_reg(Reg::A0, 0x100000);
+        cpu.set_reg(Reg::A2, n);
+        cpu
+    }
+
+    #[test]
+    fn runs_on_the_configured_core() {
+        let paper = RunConfig::quick(Mode::Baseline, 20_000, 5_000);
+        let mut ideal = paper.clone();
+        ideal.core = CoreConfig::paper_default().ideal_memory();
+        for variant in [BrVariant::Speculative, BrVariant::TwelveWide] {
+            let on_paper = simulate_runahead(data_dependent_loop(), &paper, variant).stats;
+            let on_ideal = simulate_runahead(data_dependent_loop(), &ideal, variant).stats;
+            assert!(on_paper.l1i_misses > 0, "{variant:?}");
+            assert_eq!(on_ideal.l1i_misses, 0, "{variant:?}: the L1I is off");
+            assert_ne!(on_paper, on_ideal, "{variant:?}");
+        }
+    }
 }

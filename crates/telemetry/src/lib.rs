@@ -102,16 +102,6 @@ pub enum Counter {
     BpredUpdates,
     /// Direction-predictor wrong updates.
     BpredWrong,
-    /// Region runs served from an architectural checkpoint.
-    CkptHits,
-    /// Region runs that fast-forwarded (no usable checkpoint).
-    CkptMisses,
-    /// Nanoseconds spent capturing and writing checkpoints.
-    CkptSaveNs,
-    /// Nanoseconds spent reading, restoring, and warm-replaying checkpoints.
-    CkptRestoreNs,
-    /// Fast-forward instructions skipped thanks to checkpoint restores.
-    CkptSkippedInsts,
     /// L1-I instruction-fetch misses.
     L1iMisses,
     /// Main-thread fetch cycles stalled on an in-flight L1-I miss.
@@ -140,7 +130,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counter kinds (array size).
-    pub const COUNT: usize = 41;
+    pub const COUNT: usize = 36;
 
     /// All counters, in discriminant order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -169,11 +159,6 @@ impl Counter {
         Counter::StoresRetired,
         Counter::BpredUpdates,
         Counter::BpredWrong,
-        Counter::CkptHits,
-        Counter::CkptMisses,
-        Counter::CkptSaveNs,
-        Counter::CkptRestoreNs,
-        Counter::CkptSkippedInsts,
         Counter::L1iMisses,
         Counter::IfetchStallCycles,
         Counter::L1iPortStalls,
@@ -190,10 +175,10 @@ impl Counter {
     /// How this counter combines when two shards' reports merge (see
     /// [`Report::merge`]).
     pub fn merge_kind(self) -> MergeKind {
-        // Every current counter is a monotonic event/cycle/nanosecond
-        // total, so they all sum. A future high-water-mark counter
-        // ("peak X") must declare `MergeKind::Max` here — storing a peak
-        // in a summing counter would silently break shard merging.
+        // Every current counter is a monotonic event/cycle total, so they
+        // all sum. A future high-water-mark counter ("peak X") must
+        // declare `MergeKind::Max` here — storing a peak in a summing
+        // counter would silently break shard merging.
         MergeKind::Sum
     }
 
@@ -225,11 +210,6 @@ impl Counter {
             Counter::StoresRetired => "stores_retired",
             Counter::BpredUpdates => "bpred_updates",
             Counter::BpredWrong => "bpred_wrong",
-            Counter::CkptHits => "ckpt_hits",
-            Counter::CkptMisses => "ckpt_misses",
-            Counter::CkptSaveNs => "ckpt_save_ns",
-            Counter::CkptRestoreNs => "ckpt_restore_ns",
-            Counter::CkptSkippedInsts => "ckpt_skipped_insts",
             Counter::L1iMisses => "l1i_misses",
             Counter::IfetchStallCycles => "ifetch_stall_cycles",
             Counter::L1iPortStalls => "l1i_port_stalls",
@@ -249,7 +229,7 @@ impl Counter {
 /// [`Report::merge`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MergeKind {
-    /// Totals add (event, cycle, and duration counts).
+    /// Totals add (event and cycle counts).
     Sum,
     /// The larger value wins (peaks / high-water marks).
     Max,

@@ -241,17 +241,17 @@ impl CoreConfig {
         self
     }
 
-    /// The BR-12w configuration of Fig. 12a: a 12-wide core where the main
-    /// thread keeps the full baseline frontend width and resources while the
-    /// pre-execution engine gets a 4-wide frontend of its own, with 4 extra
-    /// execution lanes.
-    pub fn br_12_wide() -> CoreConfig {
-        let mut cfg = CoreConfig::paper_default();
-        cfg.width = 12;
-        cfg.lanes_alu = 6;
-        cfg.lanes_mem = 3;
-        cfg.lanes_complex = 3;
-        cfg
+    /// The BR-12w configuration of Fig. 12a: `self` widened by half, so
+    /// the main thread keeps the full frontend width and resources while
+    /// the pre-execution engine gets a frontend half as wide of its own,
+    /// with half again as many execution lanes. On the paper's 8-wide
+    /// core that is a 12-wide core with 4 extra lanes.
+    pub fn br_12_wide(mut self) -> CoreConfig {
+        self.width += self.width / 2;
+        self.lanes_alu += self.lanes_alu / 2;
+        self.lanes_mem += self.lanes_mem / 2;
+        self.lanes_complex += self.lanes_complex / 2;
+        self
     }
 
     /// Scales the window (ROB and, commensurately, PRF/LQ/SQ/IQ) to
@@ -403,8 +403,9 @@ mod tests {
 
     #[test]
     fn br12w_keeps_mt_at_baseline() {
-        let c = CoreConfig::br_12_wide();
+        let c = CoreConfig::paper_default().br_12_wide();
         assert_eq!(c.width, 12);
+        assert_eq!((c.lanes_alu, c.lanes_mem, c.lanes_complex), (6, 3, 3));
         assert_eq!(c.rob, 632);
         assert_eq!(c.issue_width(), 12);
     }

@@ -39,13 +39,6 @@ pub struct UncoreStats {
     pub prefetches_issued: u64,
 }
 
-impl UncoreStats {
-    /// Combined shared-port (L2 + L3) admission delay.
-    pub fn shared_port_stalls(&self) -> u64 {
-        self.l2_port_stalls + self.l3_port_stalls
-    }
-}
-
 /// The shared memory-system tier: L2/L3 + ports + DRAM queue + the L2
 /// delta prefetcher, with per-tenant contention attribution.
 #[derive(Clone, Debug)]

@@ -16,72 +16,114 @@ pub enum PredSource {
     Oracle,
 }
 
-/// Aggregate counters for one simulation run.
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
-pub struct SimStats {
-    /// Total simulated cycles.
-    pub cycles: u64,
-    /// Instructions retired by the main thread.
-    pub mt_retired: u64,
-    /// Instructions retired by helper threads / pre-execution engines.
-    pub ht_retired: u64,
-    /// Conditional branches retired by the main thread.
-    pub mt_cond_branches: u64,
-    /// Main-thread conditional-branch mispredictions (fetch-time prediction
-    /// wrong, regardless of source).
-    pub mt_mispredicts: u64,
-    /// Mispredictions whose consumed prediction came from a pre-execution
-    /// queue.
-    pub mispredicts_from_queue: u64,
-    /// Conditional-branch predictions consumed from a pre-execution queue.
-    pub preds_from_queue: u64,
-    /// Conditional-branch predictions from the default predictor while a
-    /// queue was expected but empty/untimely.
-    pub queue_untimely: u64,
-    /// Pipeline squashes due to load-store ordering violations.
-    pub load_violations: u64,
-    /// Helper-thread trigger events (pre-execution started).
-    pub triggers: u64,
-    /// Helper-thread termination events.
-    pub terminations: u64,
-    /// L1I instruction-fetch accesses (one per fetched cache block).
-    pub l1i_accesses: u64,
-    /// L1I instruction-fetch misses.
-    pub l1i_misses: u64,
-    /// L1D accesses / misses (demand loads only).
-    pub l1d_accesses: u64,
-    /// L1D demand-load misses.
-    pub l1d_misses: u64,
-    /// L1D retired-store accesses (write-buffer refill traffic), counted
-    /// apart from demand loads so they never inflate load-MPKI.
-    pub l1d_store_accesses: u64,
-    /// L1D retired-store misses.
-    pub l1d_store_misses: u64,
-    /// L2 demand misses.
-    pub l2_misses: u64,
-    /// L3 demand misses.
-    pub l3_misses: u64,
-    /// Prefetches issued (all levels).
-    pub prefetches_issued: u64,
-    /// Demand hits on prefetched blocks.
-    pub prefetch_hits: u64,
-    /// Cycles the main thread's fetch stalled behind an unresolved
-    /// misprediction.
-    pub mt_fetch_stall_mispredict: u64,
-    /// Cycles the main thread's fetch stalled on live-in move injection.
-    pub mt_fetch_stall_trigger: u64,
-    /// Cycles the main thread's fetch stalled on an in-flight L1I miss.
-    pub mt_fetch_stall_ifetch: u64,
-    /// Cycles of admission delay imposed by the L1I port.
-    pub l1i_port_stalls: u64,
-    /// Cycles of admission delay imposed by the L1D port.
-    pub l1d_port_stalls: u64,
-    /// Cycles of admission delay imposed by the L2 port.
-    pub l2_port_stalls: u64,
-    /// Cycles of admission delay imposed by the L3 port.
-    pub l3_port_stalls: u64,
-    /// Cycles of admission delay imposed by the DRAM queue.
-    pub dram_queue_stalls: u64,
+/// Declares [`SimStats`] from one list of `u64` counter fields and
+/// derives from that same list everything that walks the fields: the
+/// name table [`SimStats::NAMES`] and the exhaustive array conversions
+/// [`SimStats::to_array`] / [`SimStats::from_array`]. A new counter is
+/// one line in the struct below; `merge`, the result-cache codec and
+/// the merge-law proptests pick it up through the table.
+macro_rules! sim_stats {
+    (
+        $(#[$meta:meta])*
+        pub struct SimStats {
+            $($(#[$field_meta:meta])* pub $field:ident: u64,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct SimStats {
+            $($(#[$field_meta])* pub $field: u64,)*
+        }
+
+        impl SimStats {
+            /// Counter names, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($field)),*];
+
+            /// Number of counters.
+            pub const LEN: usize = SimStats::NAMES.len();
+
+            /// Every counter, in declaration order.
+            pub fn to_array(&self) -> [u64; SimStats::LEN] {
+                [$(self.$field),*]
+            }
+
+            /// The bundle whose counters are `values`, in declaration
+            /// order: the inverse of [`SimStats::to_array`].
+            pub fn from_array(values: [u64; SimStats::LEN]) -> SimStats {
+                let [$($field),*] = values;
+                SimStats { $($field),* }
+            }
+        }
+    };
+}
+
+sim_stats! {
+    /// Aggregate counters for one simulation run.
+    #[derive(Clone, Default, PartialEq, Eq, Debug)]
+    pub struct SimStats {
+        /// Total simulated cycles.
+        pub cycles: u64,
+        /// Instructions retired by the main thread.
+        pub mt_retired: u64,
+        /// Instructions retired by helper threads / pre-execution engines.
+        pub ht_retired: u64,
+        /// Conditional branches retired by the main thread.
+        pub mt_cond_branches: u64,
+        /// Main-thread conditional-branch mispredictions (fetch-time prediction
+        /// wrong, regardless of source).
+        pub mt_mispredicts: u64,
+        /// Mispredictions whose consumed prediction came from a pre-execution
+        /// queue.
+        pub mispredicts_from_queue: u64,
+        /// Conditional-branch predictions consumed from a pre-execution queue.
+        pub preds_from_queue: u64,
+        /// Conditional-branch predictions from the default predictor while a
+        /// queue was expected but empty/untimely.
+        pub queue_untimely: u64,
+        /// Pipeline squashes due to load-store ordering violations.
+        pub load_violations: u64,
+        /// Helper-thread trigger events (pre-execution started).
+        pub triggers: u64,
+        /// Helper-thread termination events.
+        pub terminations: u64,
+        /// L1I instruction-fetch accesses (one per fetched cache block).
+        pub l1i_accesses: u64,
+        /// L1I instruction-fetch misses.
+        pub l1i_misses: u64,
+        /// L1D accesses / misses (demand loads only).
+        pub l1d_accesses: u64,
+        /// L1D demand-load misses.
+        pub l1d_misses: u64,
+        /// L1D retired-store accesses (write-buffer refill traffic), counted
+        /// apart from demand loads so they never inflate load-MPKI.
+        pub l1d_store_accesses: u64,
+        /// L1D retired-store misses.
+        pub l1d_store_misses: u64,
+        /// L2 demand misses.
+        pub l2_misses: u64,
+        /// L3 demand misses.
+        pub l3_misses: u64,
+        /// Prefetches issued (all levels).
+        pub prefetches_issued: u64,
+        /// Demand hits on prefetched blocks.
+        pub prefetch_hits: u64,
+        /// Cycles the main thread's fetch stalled behind an unresolved
+        /// misprediction.
+        pub mt_fetch_stall_mispredict: u64,
+        /// Cycles the main thread's fetch stalled on live-in move injection.
+        pub mt_fetch_stall_trigger: u64,
+        /// Cycles the main thread's fetch stalled on an in-flight L1I miss.
+        pub mt_fetch_stall_ifetch: u64,
+        /// Cycles of admission delay imposed by the L1I port.
+        pub l1i_port_stalls: u64,
+        /// Cycles of admission delay imposed by the L1D port.
+        pub l1d_port_stalls: u64,
+        /// Cycles of admission delay imposed by the L2 port.
+        pub l2_port_stalls: u64,
+        /// Cycles of admission delay imposed by the L3 port.
+        pub l3_port_stalls: u64,
+        /// Cycles of admission delay imposed by the DRAM queue.
+        pub dram_queue_stalls: u64,
+    }
 }
 
 impl SimStats {
@@ -105,83 +147,19 @@ impl SimStats {
     /// simulation: per-shard stats fold into one bundle whose derived
     /// ratios are then exactly the whole-run ratios.
     ///
-    /// **Field audit (enforced by convention):** any future field must be
-    /// a monotonic event/cycle count. Ratios, averages, and
+    /// **Field audit:** the field table admits only `u64` fields, and by
+    /// convention each must be a monotonic event/cycle count. Ratios,
+    /// averages, and
     /// last-writer-wins scalars (e.g. "final queue depth") are not
     /// mergeable and belong in derived methods or the telemetry gauges
     /// (which store sum + sample-count precisely so *their* merge stays
     /// associative).
     pub fn merge(&mut self, other: &SimStats) {
-        let SimStats {
-            cycles,
-            mt_retired,
-            ht_retired,
-            mt_cond_branches,
-            mt_mispredicts,
-            mispredicts_from_queue,
-            preds_from_queue,
-            queue_untimely,
-            load_violations,
-            triggers,
-            terminations,
-            l1i_accesses,
-            l1i_misses,
-            l1d_accesses,
-            l1d_misses,
-            l1d_store_accesses,
-            l1d_store_misses,
-            l2_misses,
-            l3_misses,
-            prefetches_issued,
-            prefetch_hits,
-            mt_fetch_stall_mispredict,
-            mt_fetch_stall_trigger,
-            mt_fetch_stall_ifetch,
-            l1i_port_stalls,
-            l1d_port_stalls,
-            l2_port_stalls,
-            l3_port_stalls,
-            dram_queue_stalls,
-        } = other;
-        // Exhaustive destructuring: adding a SimStats field without
-        // deciding its merge behavior fails to compile here.
-        self.cycles = self.cycles.saturating_add(*cycles);
-        self.mt_retired = self.mt_retired.saturating_add(*mt_retired);
-        self.ht_retired = self.ht_retired.saturating_add(*ht_retired);
-        self.mt_cond_branches = self.mt_cond_branches.saturating_add(*mt_cond_branches);
-        self.mt_mispredicts = self.mt_mispredicts.saturating_add(*mt_mispredicts);
-        self.mispredicts_from_queue = self
-            .mispredicts_from_queue
-            .saturating_add(*mispredicts_from_queue);
-        self.preds_from_queue = self.preds_from_queue.saturating_add(*preds_from_queue);
-        self.queue_untimely = self.queue_untimely.saturating_add(*queue_untimely);
-        self.load_violations = self.load_violations.saturating_add(*load_violations);
-        self.triggers = self.triggers.saturating_add(*triggers);
-        self.terminations = self.terminations.saturating_add(*terminations);
-        self.l1i_accesses = self.l1i_accesses.saturating_add(*l1i_accesses);
-        self.l1i_misses = self.l1i_misses.saturating_add(*l1i_misses);
-        self.l1d_accesses = self.l1d_accesses.saturating_add(*l1d_accesses);
-        self.l1d_misses = self.l1d_misses.saturating_add(*l1d_misses);
-        self.l1d_store_accesses = self.l1d_store_accesses.saturating_add(*l1d_store_accesses);
-        self.l1d_store_misses = self.l1d_store_misses.saturating_add(*l1d_store_misses);
-        self.l2_misses = self.l2_misses.saturating_add(*l2_misses);
-        self.l3_misses = self.l3_misses.saturating_add(*l3_misses);
-        self.prefetches_issued = self.prefetches_issued.saturating_add(*prefetches_issued);
-        self.prefetch_hits = self.prefetch_hits.saturating_add(*prefetch_hits);
-        self.mt_fetch_stall_mispredict = self
-            .mt_fetch_stall_mispredict
-            .saturating_add(*mt_fetch_stall_mispredict);
-        self.mt_fetch_stall_trigger = self
-            .mt_fetch_stall_trigger
-            .saturating_add(*mt_fetch_stall_trigger);
-        self.mt_fetch_stall_ifetch = self
-            .mt_fetch_stall_ifetch
-            .saturating_add(*mt_fetch_stall_ifetch);
-        self.l1i_port_stalls = self.l1i_port_stalls.saturating_add(*l1i_port_stalls);
-        self.l1d_port_stalls = self.l1d_port_stalls.saturating_add(*l1d_port_stalls);
-        self.l2_port_stalls = self.l2_port_stalls.saturating_add(*l2_port_stalls);
-        self.l3_port_stalls = self.l3_port_stalls.saturating_add(*l3_port_stalls);
-        self.dram_queue_stalls = self.dram_queue_stalls.saturating_add(*dram_queue_stalls);
+        let mut sum = self.to_array();
+        for (a, b) in sum.iter_mut().zip(other.to_array()) {
+            *a = a.saturating_add(b);
+        }
+        *self = SimStats::from_array(sum);
     }
 
     /// Main-thread instructions per cycle.

@@ -11,112 +11,6 @@
 use phelps_uarch::stats::SimStats;
 use proptest::prelude::*;
 
-/// Number of counter fields in [`SimStats`]; `from_fields` and `fields`
-/// destructure exhaustively, so adding a field breaks this test until
-/// the new field gets a merge decision *and* coverage here.
-const NFIELDS: usize = 29;
-
-fn from_fields(v: &[u64; NFIELDS]) -> SimStats {
-    let [cycles, mt_retired, ht_retired, mt_cond_branches, mt_mispredicts, mispredicts_from_queue, preds_from_queue, queue_untimely, load_violations, triggers, terminations, l1i_accesses, l1i_misses, l1d_accesses, l1d_misses, l1d_store_accesses, l1d_store_misses, l2_misses, l3_misses, prefetches_issued, prefetch_hits, mt_fetch_stall_mispredict, mt_fetch_stall_trigger, mt_fetch_stall_ifetch, l1i_port_stalls, l1d_port_stalls, l2_port_stalls, l3_port_stalls, dram_queue_stalls] =
-        *v;
-    SimStats {
-        cycles,
-        mt_retired,
-        ht_retired,
-        mt_cond_branches,
-        mt_mispredicts,
-        mispredicts_from_queue,
-        preds_from_queue,
-        queue_untimely,
-        load_violations,
-        triggers,
-        terminations,
-        l1i_accesses,
-        l1i_misses,
-        l1d_accesses,
-        l1d_misses,
-        l1d_store_accesses,
-        l1d_store_misses,
-        l2_misses,
-        l3_misses,
-        prefetches_issued,
-        prefetch_hits,
-        mt_fetch_stall_mispredict,
-        mt_fetch_stall_trigger,
-        mt_fetch_stall_ifetch,
-        l1i_port_stalls,
-        l1d_port_stalls,
-        l2_port_stalls,
-        l3_port_stalls,
-        dram_queue_stalls,
-    }
-}
-
-fn fields(s: &SimStats) -> [u64; NFIELDS] {
-    let SimStats {
-        cycles,
-        mt_retired,
-        ht_retired,
-        mt_cond_branches,
-        mt_mispredicts,
-        mispredicts_from_queue,
-        preds_from_queue,
-        queue_untimely,
-        load_violations,
-        triggers,
-        terminations,
-        l1i_accesses,
-        l1i_misses,
-        l1d_accesses,
-        l1d_misses,
-        l1d_store_accesses,
-        l1d_store_misses,
-        l2_misses,
-        l3_misses,
-        prefetches_issued,
-        prefetch_hits,
-        mt_fetch_stall_mispredict,
-        mt_fetch_stall_trigger,
-        mt_fetch_stall_ifetch,
-        l1i_port_stalls,
-        l1d_port_stalls,
-        l2_port_stalls,
-        l3_port_stalls,
-        dram_queue_stalls,
-    } = s.clone();
-    [
-        cycles,
-        mt_retired,
-        ht_retired,
-        mt_cond_branches,
-        mt_mispredicts,
-        mispredicts_from_queue,
-        preds_from_queue,
-        queue_untimely,
-        load_violations,
-        triggers,
-        terminations,
-        l1i_accesses,
-        l1i_misses,
-        l1d_accesses,
-        l1d_misses,
-        l1d_store_accesses,
-        l1d_store_misses,
-        l2_misses,
-        l3_misses,
-        prefetches_issued,
-        prefetch_hits,
-        mt_fetch_stall_mispredict,
-        mt_fetch_stall_trigger,
-        mt_fetch_stall_ifetch,
-        l1i_port_stalls,
-        l1d_port_stalls,
-        l2_port_stalls,
-        l3_port_stalls,
-        dram_queue_stalls,
-    ]
-}
-
 /// Counter values spanning the interesting range: ordinary magnitudes
 /// plus values close enough to `u64::MAX` that two or three of them
 /// saturate when summed.
@@ -125,10 +19,10 @@ fn counter_value() -> impl Strategy<Value = u64> {
 }
 
 fn stats() -> impl Strategy<Value = SimStats> {
-    prop::collection::vec(counter_value(), NFIELDS..NFIELDS + 1).prop_map(|v| {
-        let mut a = [0u64; NFIELDS];
+    prop::collection::vec(counter_value(), SimStats::LEN..SimStats::LEN + 1).prop_map(|v| {
+        let mut a = [0u64; SimStats::LEN];
         a.copy_from_slice(&v);
-        from_fields(&a)
+        SimStats::from_array(a)
     })
 }
 
@@ -141,11 +35,16 @@ fn merged(a: &SimStats, b: &SimStats) -> SimStats {
 proptest! {
     #[test]
     fn merge_is_per_field_saturating_sum(a in stats(), b in stats()) {
-        let m = fields(&merged(&a, &b));
-        let (fa, fb) = (fields(&a), fields(&b));
-        for i in 0..NFIELDS {
+        let m = merged(&a, &b).to_array();
+        let (fa, fb) = (a.to_array(), b.to_array());
+        for i in 0..SimStats::LEN {
             prop_assert_eq!(m[i], fa[i].saturating_add(fb[i]), "field {}", i);
         }
+    }
+
+    #[test]
+    fn array_conversion_roundtrips(a in stats()) {
+        prop_assert_eq!(SimStats::from_array(a.to_array()), a);
     }
 
     #[test]

@@ -51,6 +51,14 @@ case $smoke_out in
 *) echo "ci.sh: warm runner smoke run missed the cache" >&2; exit 1 ;;
 esac
 
+echo "==> figure binaries (all ten, PHELPS_REGION=20000, cold cache)"
+# Every figure binary must run to completion. To check that a change
+# moves no number, run scripts/figures.sh in the parent checkout too and
+# diff the two output directories.
+fig_out=$(mktemp -d)
+./scripts/figures.sh "$fig_out"
+rm -rf "$fig_out"
+
 echo "==> serve smoke test (daemon on ephemeral port: stream, dedup, drain)"
 cargo build --release -q -p phelps-serve --bin phelps-serve
 serve_cache=$(mktemp -d)

@@ -1,0 +1,46 @@
+#!/usr/bin/env sh
+# Runs every figure binary at a small fixed scale and keeps each stdout.
+#
+# Usage: ./scripts/figures.sh OUTDIR
+#
+# Builds the phelps-bench binaries, clears inherited PHELPS_* variables,
+# and runs all ten binaries at PHELPS_REGION=20000 PHELPS_EPOCH=10000
+# with the result cache off and a fresh checkpoint directory. Each runs
+# from a temporary working directory, so the tree's results/*.csv are
+# left alone. Stdout goes to OUTDIR/<bin>.txt; any nonzero exit fails
+# the script (the failing binary's stderr is shown).
+#
+# A refactor that must not move any number can be checked by running
+# this in a checkout of the parent commit and in the change, then
+# `diff -r PARENT_OUTDIR CHANGE_OUTDIR`.
+set -eu
+
+[ $# -eq 1 ] || { echo "usage: $0 OUTDIR" >&2; exit 2; }
+mkdir -p "$1"
+out=$(cd "$1" && pwd)
+cd "$(dirname "$0")/.."
+root=$(pwd)
+
+bins="fig11 fig12a fig12b fig13 fig14 fig15 fig_corun ablate table2 simpoints"
+cargo build --release -q -p phelps-bench --bins
+
+for v in $(env | sed -n 's/^\(PHELPS_[A-Za-z0-9_]*\)=.*/\1/p'); do
+    unset "$v"
+done
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/ckpt"
+cd "$work"
+for bin in $bins; do
+    if PHELPS_REGION=20000 PHELPS_EPOCH=10000 PHELPS_NO_CACHE=1 \
+        PHELPS_CKPT_DIR="$work/ckpt" \
+        "$root/target/release/$bin" >"$out/$bin.txt" 2>"$work/stderr"; then
+        echo "    $bin: $(wc -l <"$out/$bin.txt") lines"
+    else
+        status=$?
+        echo "figures.sh: $bin exited with status $status" >&2
+        cat "$work/stderr" >&2
+        exit 1
+    fi
+done
