@@ -3,11 +3,12 @@
 //! branch resolution), and real-value side-thread execution (predicate
 //! evaluation, store-cache-backed loads, engine steering).
 //!
-//! Readiness is a broadcast-maintained counter, not a per-cycle re-check:
-//! every instruction carries a ready-dep count in the slab's meta column,
-//! and the completion sweep decrements the counts of in-queue consumers
-//! when a producer turns `Done`. Select then tests a single byte per
-//! candidate.
+//! Readiness is an event-maintained counter, not a per-cycle re-check:
+//! every instruction carries a ready-dep count in the slab's meta column.
+//! An instruction that starts executing schedules its completion, and
+//! [`SimContext::complete_execution`] decrements the counts of only the
+//! consumers registered with each producer that turns `Done` (see
+//! [`super::slab`]). Select then tests a single byte per candidate.
 
 use super::{Pipeline, SimContext, Stage, NO_DEP};
 use crate::sim::types::{ExecInfo, PreExecEngine, SideAction, SideKind, MT, NUM_THREADS};
@@ -16,15 +17,6 @@ use phelps_uarch::bpred::DirectionPredictor;
 use phelps_uarch::mem::MemRequest;
 
 impl SimContext {
-    /// Whether a dep slot is satisfied right now (dispatch-time seeding
-    /// of the ready-dep count; steady-state readiness is maintained by
-    /// [`SimContext::wakeup_consumers`]).
-    pub(super) fn dep_slot_ready(&self, dep: u64) -> bool {
-        // A reclaimed seq (stage None) means the producer retired: its
-        // value is architecturally committed, hence ready.
-        dep == NO_DEP || matches!(self.insts.stage(dep), None | Some(Stage::Done))
-    }
-
     pub(super) fn dep_value(&self, tid: usize, reg: Reg, dep: u64) -> u64 {
         if reg.is_zero() {
             return 0;
@@ -37,37 +29,11 @@ impl SimContext {
         self.threads[tid].regs[reg.index()]
     }
 
+    /// Retires the completion events due this cycle: each instruction
+    /// turns `Done` and wakes its registered consumers.
     pub(super) fn complete_execution(&mut self) {
-        let now = self.cycle;
-        let mut completed = std::mem::take(&mut self.completed_scratch);
-        completed.clear();
-        self.insts.sweep_completed(now, &mut completed);
-        for &p in &completed {
-            self.wakeup_consumers(p);
-        }
-        self.completed_scratch = completed;
-    }
-
-    /// Wakeup broadcast: a producer turned `Done`; decrement the
-    /// ready-dep count of every in-queue consumer whose dep slots name
-    /// it. Each slot is accounted exactly once (the transition to `Done`
-    /// is unique per seq), so the counts cannot underflow.
-    pub(super) fn wakeup_consumers(&mut self, producer: u64) {
-        let iq = &self.iq;
-        let insts = &mut self.insts;
-        for &c in iq {
-            let Some(m) = insts.meta_mut(c) else { continue };
-            let hits = m.deps.iter().filter(|&&d| d == producer).count()
-                + m.pred_deps.iter().filter(|&&d| d == producer).count();
-            if hits > 0 {
-                #[cfg(feature = "debug-invariants")]
-                assert!(
-                    m.unready as usize >= hits,
-                    "seq {c}: wakeup underflow (unready {} < hits {hits})",
-                    m.unready
-                );
-                m.unready -= hits as u8;
-            }
+        while let Some(producer) = self.insts.pop_completed(self.cycle) {
+            self.insts.wake_consumers(producer);
         }
     }
 
@@ -140,10 +106,10 @@ impl<E: PreExecEngine> Pipeline<E> {
         let m = self.ctx.insts.meta(seq).expect("issuing");
         let tid = m.tid as usize;
         if m.is_dead() {
-            // Dead instructions drain without effects; they still
-            // broadcast so consumers waiting on them wake up.
+            // Dead instructions drain without effects; they still wake
+            // their consumers, which may issue later in this same walk.
             self.ctx.insts.set_stage(seq, Stage::Done);
-            self.ctx.wakeup_consumers(seq);
+            self.ctx.insts.wake_consumers(seq);
             return;
         }
         if tid == MT {
@@ -179,7 +145,7 @@ impl<E: PreExecEngine> Pipeline<E> {
         } else {
             now + latency as u64
         };
-        self.ctx.insts.set_stage(seq, Stage::Exec { done });
+        self.ctx.insts.start_exec(seq, done);
         if inst.is_store() {
             self.check_load_violation(MT, seq, addr);
         }
@@ -191,26 +157,18 @@ impl<E: PreExecEngine> Pipeline<E> {
     }
 
     fn resolve_mt_branch(&mut self, seq: u64, done: u64) {
-        let (mispredicted, taken, bp_ckpt, engine_ckpt, pc) = {
-            let di = self.ctx.insts.get(seq).expect("issuing");
-            (
-                di.mispredicted,
-                di.rec.taken,
-                di.bp_ckpt.clone(),
-                di.engine_ckpt.clone(),
-                di.pc,
-            )
-        };
-        if !mispredicted {
+        let di = self.ctx.insts.get(seq).expect("issuing");
+        if !di.mispredicted {
             return;
         }
         // Repair speculative predictor history: rewind past the wrong
-        // speculation, then insert the actual outcome.
-        if let Some(ckpt) = bp_ckpt {
-            self.ctx.bpred.recover(&ckpt);
-            self.ctx.bpred.speculate(pc, taken);
+        // speculation, then insert the actual outcome. The checkpoints
+        // are read in place; only the recovery path touches them.
+        if let Some(ckpt) = &di.bp_ckpt {
+            self.ctx.bpred.recover(ckpt);
+            self.ctx.bpred.speculate(di.pc, di.rec.taken);
         }
-        if let (Some(engine), Some(ckpt)) = (self.engine.as_mut(), engine_ckpt.as_ref()) {
+        if let (Some(engine), Some(ckpt)) = (self.engine.as_mut(), di.engine_ckpt.as_ref()) {
             engine.restore(ckpt);
         }
         // Fetch resumes after resolution; the refill delay is inherent in
@@ -345,7 +303,7 @@ impl<E: PreExecEngine> Pipeline<E> {
             di.mem_addr = mem_addr;
             di.enabled = enabled;
         }
-        self.ctx.insts.set_stage(seq, Stage::Exec { done });
+        self.ctx.insts.start_exec(seq, done);
 
         let info = ExecInfo {
             value: result,

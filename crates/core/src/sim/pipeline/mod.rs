@@ -382,9 +382,6 @@ struct SimContext {
     /// squash triggered by an executing branch) without a fresh
     /// allocation every cycle.
     issue_scratch: Vec<u64>,
-    /// Reused scratch for the completion sweep (seqs that turned Done
-    /// this cycle, pending wakeup broadcast).
-    completed_scratch: Vec<u64>,
     /// Reused scratch for loose side retirement.
     loose_scratch: Vec<u64>,
     next_seq: u64,
@@ -468,7 +465,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             insts: InstSlab::new(),
             iq: Vec::new(),
             issue_scratch: Vec::new(),
-            completed_scratch: Vec::new(),
             loose_scratch: Vec::new(),
             next_seq: 0,
             cycle: 0,
@@ -712,8 +708,11 @@ impl SimContext {
     /// matching the live post-dispatch instructions (a drifting counter is
     /// the usage-counter analog of a free list double-allocating), rename
     /// and predicate-rename entries pointing only at live same-thread
-    /// producers of the mapped register, and issue-queue entries being
-    /// live waiting instructions. Stage-local invariants (in-order retire,
+    /// producers of the mapped register, issue-queue entries being live
+    /// waiting instructions, and the wakeup structures: every not-ready
+    /// dep slot of an IQ entry names a live producer whose consumer list
+    /// holds that entry exactly once, and every executing instruction has
+    /// its completion event pending. Stage-local invariants (in-order retire,
     /// LSQ forwarding age order, MSHR occupancy) live in their stage
     /// modules and in `phelps-uarch`.
     #[cfg(feature = "debug-invariants")]
@@ -822,22 +821,36 @@ impl SimContext {
                 matches!(stage, Stage::InIq),
                 "issue queue holds seq {s} in stage {stage:?}"
             );
-            // The broadcast-maintained ready-dep count must equal the
-            // count recomputed from the dep slots: a drift here is a
-            // missed or double wakeup.
+            // The event-maintained ready-dep count must equal the count
+            // recomputed from the dep slots: a drift here is a missed or
+            // double wakeup. Each unfinished producer must also hold this
+            // entry in its consumer list, or it would never wake it.
             let m = self.insts.meta(s).expect("live iq entry");
-            let unready = m
-                .deps
-                .iter()
-                .chain(m.pred_deps.iter())
-                .filter(|&&d| {
-                    d != NO_DEP && !matches!(self.insts.stage(d), None | Some(Stage::Done))
-                })
-                .count() as u8;
+            let mut unready = 0u8;
+            for d in m.deps.into_iter().chain(m.pred_deps) {
+                if self.insts.dep_ready(d) {
+                    continue;
+                }
+                unready += 1;
+                let registered = self.insts.consumers(d).filter(|&c| c == s).count();
+                assert_eq!(
+                    registered, 1,
+                    "seq {s}: registered {registered} times with unfinished producer {d}"
+                );
+            }
             assert_eq!(
                 m.unready, unready,
                 "seq {s}: ready-dep count drifted from dep-slot stages"
             );
+        }
+        let events: std::collections::HashSet<(u64, u64)> = self.insts.events().collect();
+        for (s, _) in self.insts.iter() {
+            if let Some(Stage::Exec { done }) = self.insts.stage(s) {
+                assert!(
+                    events.contains(&(done, s)),
+                    "seq {s} executes until cycle {done} with no completion event"
+                );
+            }
         }
     }
 

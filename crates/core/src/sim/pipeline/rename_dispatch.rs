@@ -1,6 +1,8 @@
 //! Rename/dispatch stage: drains the frontend pipe in program order,
 //! renames sources against the per-thread RMTs, allocates LQ/SQ/PRF
-//! shares, and inserts into the shared issue queue.
+//! shares, registers each instruction with the in-flight producers it
+//! waits on (see [`super::slab`]), and inserts into the shared issue
+//! queue.
 //!
 //! Dispatch never consults the pre-execution engine, so the whole stage
 //! lives on [`SimContext`].
@@ -68,13 +70,6 @@ impl SimContext {
                         }
                     }
                 }
-                // Initial ready-dep count; the completion broadcast
-                // decrements it as producers finish.
-                let unready = deps
-                    .iter()
-                    .chain(pred_deps.iter())
-                    .filter(|&&d| !self.dep_slot_ready(d))
-                    .count() as u8;
                 {
                     let t = &mut self.threads[tid];
                     if meta.is_load() {
@@ -105,12 +100,9 @@ impl SimContext {
                         t.pred_rmt[dest as usize] = Some(seq);
                     }
                 }
-                {
-                    let m = self.insts.meta_mut(seq).expect("live frontend inst");
-                    m.deps = deps;
-                    m.pred_deps = pred_deps;
-                    m.unready = unready;
-                }
+                // Seed the ready-dep count and register with the
+                // unfinished producers, which wake this consumer.
+                self.insts.bind_deps(seq, deps, pred_deps);
                 self.insts.set_stage(seq, Stage::InIq);
                 self.insts.get_mut(seq).expect("present").mem_done = 0;
                 // Keep the IQ sorted ascending (issue walks it oldest

@@ -8,27 +8,44 @@
 //! length stays bounded by the in-flight window plus transient holes
 //! from out-of-order side-thread removal).
 //!
-//! The hot per-cycle scalar state is split out of the payload into two
+//! The hot per-cycle scalar state is split out of the payload into
 //! structure-of-arrays columns kept parallel to the slots:
 //!
-//! * the **stage column** ([`Stage`], with the exec-done cycle inline) —
-//!   the completion sweep walks it contiguously instead of chasing a
-//!   hash map;
+//! * the **stage column** ([`Stage`], with the exec-done cycle inline);
 //! * the **meta column** ([`InstMeta`]: lane, thread id, latency, the
 //!   ready-dep count, flag bits, and the four producer-seq dep slots) —
-//!   issue select reads one 48-byte record per candidate and the wakeup
-//!   broadcast decrements ready-dep counts without touching payloads.
+//!   issue select reads one 48-byte record per candidate;
+//! * the **wait-list columns**: each producer heads an intrusive list of
+//!   the in-queue consumers waiting on its result, linked through the
+//!   consumers' dep slots. A consumer joins once per distinct unfinished
+//!   producer at dispatch ([`InstSlab::bind_deps`]). The lists take no
+//!   heap: a consumer is younger than its producer, so the consumer's
+//!   slot, and its link, stays in the slab as long as the producer's.
+//!
+//! Completion and wakeup are event-driven, so their cost per cycle tracks
+//! what completes, not the window size. An instruction that starts
+//! executing pushes a `(done, seq)` completion event
+//! ([`InstSlab::start_exec`]). Each cycle pops the events that are due
+//! ([`InstSlab::pop_completed`]), marks those instructions `Done`, and
+//! decrements only their registered consumers' ready-dep counts
+//! ([`InstSlab::wake_consumers`]). Events of seqs that have left flight
+//! are dropped when popped; seqs are never reused, so that is safe.
 //!
 //! The payload ([`DynInst`]: trace record, checkpoints, side metadata,
 //! results) is touched only when an instruction actually executes or
 //! retires.
 
 use super::{DynInst, Stage};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Sentinel for an empty/ready dep slot (never a valid seq: allocation
 /// starts at 1 and a simulation retires far fewer than 2^64 records).
 pub(super) const NO_DEP: u64 = u64::MAX;
+
+/// End of a wait list. A list entry names a consumer dep slot as
+/// `seq * 4 + slot`, which never reaches this value.
+const NO_WAITER: u64 = u64::MAX;
 
 /// Issue lane class, with a stable index for the budget array.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -59,7 +76,7 @@ pub(super) struct InstMeta {
     /// Non-memory execution latency in cycles.
     pub latency: u8,
     /// Dep slots (register + predicate) whose producer has not completed.
-    /// Maintained by the completion broadcast; issue-ready at zero.
+    /// Decremented by [`InstSlab::wake_consumers`]; issue-ready at zero.
     pub unready: u8,
     flags: u8,
     /// Register-source producer seqs, parallel to `inst.srcs()`.
@@ -131,6 +148,13 @@ pub(super) struct InstSlab {
     slots: VecDeque<Option<DynInst>>,
     stage: VecDeque<Option<Stage>>,
     meta: VecDeque<InstMeta>,
+    /// Head of each slot's wait list: its newest registered consumer.
+    waiters: VecDeque<u64>,
+    /// For each dep slot a consumer registered through, the next (older)
+    /// consumer on the same producer's wait list.
+    links: VecDeque<[u64; 4]>,
+    /// Pending completions `(done, seq)`, earliest first.
+    events: BinaryHeap<Reverse<(u64, u64)>>,
     live: usize,
 }
 
@@ -138,10 +162,7 @@ impl InstSlab {
     pub(super) fn new() -> InstSlab {
         InstSlab {
             base: 1,
-            slots: VecDeque::new(),
-            stage: VecDeque::new(),
-            meta: VecDeque::new(),
-            live: 0,
+            ..InstSlab::default()
         }
     }
 
@@ -170,6 +191,8 @@ impl InstSlab {
         self.slots.push_back(Some(di));
         self.stage.push_back(Some(stage));
         self.meta.push_back(meta);
+        self.waiters.push_back(NO_WAITER);
+        self.links.push_back([NO_WAITER; 4]);
         self.live += 1;
     }
 
@@ -193,11 +216,127 @@ impl InstSlab {
         self.stage[self.index(seq)?]
     }
 
-    /// Sets the stage of a live instruction.
+    /// Sets the stage of a live instruction. `Exec` goes through
+    /// [`InstSlab::start_exec`], which also schedules the completion.
     pub(super) fn set_stage(&mut self, seq: u64, st: Stage) {
         let i = self.index(seq).expect("set_stage on reclaimed seq");
         debug_assert!(self.stage[i].is_some(), "set_stage on dead slot");
+        debug_assert!(!matches!(st, Stage::Exec { .. }), "Exec without an event");
         self.stage[i] = Some(st);
+    }
+
+    /// A live instruction starts executing and completes at `done`.
+    pub(super) fn start_exec(&mut self, seq: u64, done: u64) {
+        let i = self.index(seq).expect("start_exec on reclaimed seq");
+        debug_assert!(self.stage[i].is_some(), "start_exec on dead slot");
+        self.stage[i] = Some(Stage::Exec { done });
+        self.events.push(Reverse((done, seq)));
+    }
+
+    /// Pops the next completion due by `now`, marks that instruction
+    /// `Done` and returns its seq; the caller then wakes its consumers.
+    /// Skips events whose instruction has left flight or no longer
+    /// executes until the event's cycle.
+    pub(super) fn pop_completed(&mut self, now: u64) -> Option<u64> {
+        while let Some(&Reverse((done, seq))) = self.events.peek() {
+            if done > now {
+                break;
+            }
+            self.events.pop();
+            if let Some(i) = self.index(seq) {
+                if self.stage[i] == Some(Stage::Exec { done }) {
+                    self.stage[i] = Some(Stage::Done);
+                    return Some(seq);
+                }
+            }
+        }
+        None
+    }
+
+    /// Whether a dep slot is satisfied right now. A reclaimed seq (stage
+    /// `None`) means the producer retired: its value is architecturally
+    /// committed, hence ready.
+    pub(super) fn dep_ready(&self, dep: u64) -> bool {
+        dep == NO_DEP || matches!(self.stage(dep), None | Some(Stage::Done))
+    }
+
+    /// Dispatch: stores a consumer's dep slots, seeds its ready-dep count
+    /// with the slots whose producer has not completed, and registers it
+    /// once with each distinct such producer, linking through the first
+    /// slot that names it.
+    pub(super) fn bind_deps(&mut self, seq: u64, deps: [u64; 2], pred_deps: [u64; 2]) {
+        let slots = [deps[0], deps[1], pred_deps[0], pred_deps[1]];
+        let c = self.index(seq).expect("binding a reclaimed seq");
+        let mut unready = 0u8;
+        for (k, &d) in slots.iter().enumerate() {
+            if self.dep_ready(d) {
+                continue;
+            }
+            unready += 1;
+            if !slots[..k].contains(&d) {
+                let p = self.index(d).expect("waiting producer is in flight");
+                self.links[c][k] = std::mem::replace(&mut self.waiters[p], seq * 4 + k as u64);
+            }
+        }
+        let m = self.meta_mut(seq).expect("binding a live instruction");
+        m.deps = deps;
+        m.pred_deps = pred_deps;
+        m.unready = unready;
+    }
+
+    /// Wakeup: `producer` turned `Done`. Each registered consumer still in
+    /// flight loses one ready-dep count per dep slot naming the producer.
+    /// The transition to `Done` is unique per seq, so every slot is
+    /// accounted exactly once and the counts cannot underflow.
+    pub(super) fn wake_consumers(&mut self, producer: u64) {
+        let Some(p) = self.index(producer) else {
+            return;
+        };
+        let mut w = std::mem::replace(&mut self.waiters[p], NO_WAITER);
+        while w != NO_WAITER {
+            let c = w / 4;
+            let i = self
+                .index(c)
+                .expect("a waiter outlasts its producer's slot");
+            w = self.links[i][(w % 4) as usize];
+            if self.stage[i].is_none() {
+                continue; // the consumer left flight
+            }
+            let m = &mut self.meta[i];
+            let hits = m
+                .deps
+                .iter()
+                .chain(&m.pred_deps)
+                .filter(|&&d| d == producer)
+                .count() as u8;
+            #[cfg(feature = "debug-invariants")]
+            assert!(
+                m.unready >= hits,
+                "seq {c}: wakeup underflow (unready {} < hits {hits})",
+                m.unready
+            );
+            m.unready -= hits;
+        }
+    }
+
+    /// The consumers registered with a live producer, newest first.
+    #[cfg_attr(not(feature = "debug-invariants"), allow(dead_code))]
+    pub(super) fn consumers(&self, producer: u64) -> impl Iterator<Item = u64> + '_ {
+        let mut w = self.index(producer).map_or(NO_WAITER, |p| self.waiters[p]);
+        std::iter::from_fn(move || {
+            if w == NO_WAITER {
+                return None;
+            }
+            let c = w / 4;
+            w = self.links[self.index(c).expect("waiter in the slab")][(w % 4) as usize];
+            Some(c)
+        })
+    }
+
+    /// Pending completion events as `(done, seq)`, in no order.
+    #[cfg_attr(not(feature = "debug-invariants"), allow(dead_code))]
+    pub(super) fn events(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.events.iter().map(|&Reverse(e)| e)
     }
 
     pub(super) fn meta(&self, seq: u64) -> Option<&InstMeta> {
@@ -223,23 +362,11 @@ impl InstSlab {
             self.stage.pop_front();
             self.slots.pop_front();
             self.meta.pop_front();
+            self.waiters.pop_front();
+            self.links.pop_front();
             self.base += 1;
         }
         Some(RemovedInst { di, stage, meta })
-    }
-
-    /// Completion sweep: every `Exec { done <= now }` entry becomes
-    /// `Done`, and its seq is appended to `completed` (the caller
-    /// broadcasts wakeups). Walks the stage column contiguously.
-    pub(super) fn sweep_completed(&mut self, now: u64, completed: &mut Vec<u64>) {
-        for (i, st) in self.stage.iter_mut().enumerate() {
-            if let Some(Stage::Exec { done }) = st {
-                if *done <= now {
-                    *st = Some(Stage::Done);
-                    completed.push(self.base + i as u64);
-                }
-            }
-        }
     }
 
     /// Live instructions in seq order. (Used by the `debug-invariants`
@@ -313,8 +440,12 @@ mod tests {
         RemoveAt(usize),
         /// Squash: remove every live seq >= a live pivot.
         SquashFrom(usize),
-        /// Stage transitions (dispatch/issue/complete).
+        /// Stage transitions other than issue (dispatch, dead drain).
         SetStage(usize, u8),
+        /// Issue: start executing, completing at the given cycle.
+        Exec(usize, u64),
+        /// Completion: pop every event due by the given cycle.
+        Sweep(u64),
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -323,7 +454,9 @@ mod tests {
             Just(Op::RetireFront),
             (0usize..64).prop_map(Op::RemoveAt),
             (0usize..64).prop_map(Op::SquashFrom),
-            (0usize..64, 0u8..4).prop_map(|(i, s)| Op::SetStage(i, s)),
+            (0usize..64, 0u8..3).prop_map(|(i, s)| Op::SetStage(i, s)),
+            (0usize..64, 0u64..16).prop_map(|(i, d)| Op::Exec(i, d)),
+            (0u64..16).prop_map(Op::Sweep),
         ]
     }
 
@@ -331,7 +464,6 @@ mod tests {
         match code {
             0 => Stage::Frontend,
             1 => Stage::InIq,
-            2 => Stage::Exec { done: 7 },
             _ => Stage::Done,
         }
     }
@@ -346,11 +478,46 @@ mod tests {
         Some(seqs[i % seqs.len()])
     }
 
+    /// A consumer reading one producer through two slots registers once
+    /// and loses both counts at that producer's completion; a producer
+    /// already `Done` at dispatch is neither counted nor registered with.
+    #[test]
+    fn wakeup_reaches_exactly_the_registered_consumers() {
+        let mut slab = InstSlab::new();
+        for seq in 1..=4 {
+            slab.insert(
+                dummy(seq),
+                Stage::Frontend,
+                InstMeta::new(Lane::Alu, 0, 1, &Inst::Halt),
+            );
+        }
+        slab.start_exec(1, 5);
+        slab.start_exec(2, 3);
+        slab.set_stage(3, Stage::Done);
+        slab.bind_deps(4, [1, 1], [2, 3]);
+        assert_eq!(slab.meta(4).unwrap().unready, 3);
+        assert!(slab.consumers(1).eq([4]));
+        assert!(slab.consumers(2).eq([4]));
+        assert_eq!(slab.consumers(3).count(), 0);
+
+        assert_eq!(slab.pop_completed(4), Some(2));
+        assert_eq!(slab.pop_completed(4), None);
+        slab.wake_consumers(2);
+        assert_eq!(slab.meta(4).unwrap().unready, 2);
+        assert_eq!(slab.consumers(2).count(), 0, "a woken list is emptied");
+
+        assert_eq!(slab.pop_completed(5), Some(1));
+        slab.wake_consumers(1);
+        assert_eq!(slab.meta(4).unwrap().unready, 0);
+    }
+
     proptest! {
-        /// Under random allocate/retire/squash interleavings the slab
-        /// stays equivalent to a reference HashMap model, reclaims its
-        /// dead prefix eagerly (storage bounded by the live window), and
-        /// never resurrects a removed seq.
+        /// Under random allocate/retire/squash/issue/complete
+        /// interleavings the slab stays equivalent to a reference HashMap
+        /// model, completes exactly the model's executing entries that
+        /// are due (skipping events of removed or restaged seqs),
+        /// reclaims its dead prefix eagerly (storage bounded by the live
+        /// window), and never resurrects a removed seq.
         #[test]
         fn slab_matches_hashmap_model(ops in prop::collection::vec(op(), 0..300)) {
             let mut slab = InstSlab::new();
@@ -395,6 +562,29 @@ mod tests {
                         if let Some(s) = pick(&model, i) {
                             slab.set_stage(s, stage_of(code));
                             model.insert(s, stage_of(code));
+                        }
+                    }
+                    Op::Exec(i, done) => {
+                        if let Some(s) = pick(&model, i) {
+                            slab.start_exec(s, done);
+                            model.insert(s, Stage::Exec { done });
+                        }
+                    }
+                    Op::Sweep(now) => {
+                        let mut got = Vec::new();
+                        while let Some(s) = slab.pop_completed(now) {
+                            got.push(s);
+                        }
+                        got.sort_unstable();
+                        let mut want: Vec<u64> = model
+                            .iter()
+                            .filter(|(_, st)| matches!(st, Stage::Exec { done } if *done <= now))
+                            .map(|(&s, _)| s)
+                            .collect();
+                        want.sort_unstable();
+                        prop_assert_eq!(&got, &want);
+                        for s in want {
+                            model.insert(s, Stage::Done);
                         }
                     }
                 }

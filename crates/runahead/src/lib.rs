@@ -46,14 +46,23 @@ pub enum BrVariant {
     TwelveWide,
 }
 
-/// Runs a workload under Branch Runahead on `cfg.core`.
+/// Runs a workload under Branch Runahead on `cfg.core`:
+/// [`runahead_pipeline`]`(..).run()`.
+pub fn simulate_runahead(cpu: Cpu, cfg: &RunConfig, variant: BrVariant) -> SimResult {
+    runahead_pipeline(cpu, cfg, variant).run()
+}
+
+/// Builds the Branch Runahead pipeline for a workload on `cfg.core`, the
+/// way [`Pipeline::from_config`] builds a Phelps one. `cfg.mode` is not
+/// read: the core runs in Baseline mode with a [`BrEngine`] attached.
 ///
 /// The partition is held for the full run (the paper's §VI methodology):
 /// the main thread gets half the frontend width, LQ and PRF but the whole
 /// ROB and SQ; BR-12w widens the core by half
 /// ([`br_12_wide`](phelps_uarch::config::CoreConfig::br_12_wide)) and
-/// gives the main thread the full resources of `cfg.core`.
-pub fn simulate_runahead(cpu: Cpu, cfg: &RunConfig, variant: BrVariant) -> SimResult {
+/// gives the main thread the full resources of `cfg.core`. Call
+/// [`Pipeline::record_retires`] before [`Pipeline::run`] for a retire log.
+pub fn runahead_pipeline(cpu: Cpu, cfg: &RunConfig, variant: BrVariant) -> Pipeline<BrEngine> {
     let base = &cfg.core;
     let (core, mt_quota) = match variant {
         BrVariant::TwelveWide => (
@@ -99,7 +108,7 @@ pub fn simulate_runahead(cpu: Cpu, cfg: &RunConfig, variant: BrVariant) -> SimRe
     let mode = phelps::sim::Mode::Baseline;
     let mut pipeline = Pipeline::new(cpu, core, &mode, Some(engine), cfg.max_mt_insts);
     pipeline.set_quotas(mt_quota, side_quota);
-    pipeline.run()
+    pipeline
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! CI fuzzing driver: checks N random guest programs (default 200)
-//! differentially across every pipeline mode.
+//! differentially across every pipeline mode and under Branch Runahead.
 //!
 //! Usage: `phelps-fuzz [count]`. The base seed comes from
 //! `PHELPS_FUZZ_SEED` (decimal or 0x-hex) when set, so a failing seed
@@ -18,8 +18,10 @@ fn main() {
     };
     let base = env_seed().unwrap_or(DEFAULT_SEED);
     eprintln!(
-        "phelps-fuzz: checking {count} program(s) from base seed {base:#x} across {} modes{}",
+        "phelps-fuzz: checking {count} program(s) from base seed {base:#x} across {} modes \
+         and {}{}",
         diff::modes().len(),
+        diff::BR_SPEC,
         if cfg!(feature = "debug-invariants") {
             " (debug-invariants on)"
         } else {

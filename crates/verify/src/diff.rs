@@ -1,31 +1,52 @@
 //! Lock-step differential co-simulation oracle.
 //!
-//! The reference is the functional emulator ([`phelps_isa::Cpu`]) run to
-//! halt. Each checked mode then runs the *same* prepared CPU through the
-//! cycle-level pipeline with retire logging on, and the retired
-//! main-thread record stream plus the final timing-architectural state
-//! must match the reference exactly:
+//! The reference is the functional emulator ([`phelps_isa::Cpu`]). Each
+//! checked run takes the *same* prepared CPU through the cycle-level
+//! pipeline with retire logging on, and the retired main-thread record
+//! stream plus the final timing-architectural state must match the
+//! emulator after the same number of instructions exactly:
 //!
 //! * every retired [`ExecRecord`] (PC, next-PC, taken flag, destination
 //!   value, memory address, store data) in retirement order;
-//! * the final register file over all 32 registers (generated programs
-//!   initialize registers via an emitted `li` prologue, so retire-time
-//!   state is comparable without a written-set carve-out);
-//! * the full final memory image (the pipeline's retire-time memory is
-//!   seeded from guest memory and written only by retired stores, so
-//!   semantic equality is exact, via [`Memory::first_difference`]).
+//! * every register a retired instruction wrote, and 0 in every other
+//!   register ([`FinalState::mt_regs`] holds only retired writes);
+//! * the full memory image (the pipeline's retire-time memory is seeded
+//!   from guest memory and written only by retired stores, so semantic
+//!   equality is exact, via [`Memory::first_difference`]).
+//!
+//! [`check_cpu`] runs a generated program to halt in every [`modes`]
+//! entry and under Branch Runahead (BR-Speculative, through
+//! [`runahead_pipeline`]). [`check_kernel_prefix`] runs the first
+//! [`KERNEL_PREFIX`] instructions of a suite kernel under Phelps and
+//! BR-Speculative, where helper threads really trigger and retire, and
+//! fails a run that triggers nothing.
 //!
 //! Any divergence means the replay/squash machinery dropped, duplicated
 //! or reordered a record, or retire-time state application went wrong.
+//!
+//! [`FinalState::mt_regs`]: phelps::sim::FinalState::mt_regs
+//! [`Memory::first_difference`]: phelps_isa::Memory::first_difference
 
-use phelps::sim::{Mode, PhelpsFeatures, Pipeline, RunConfig};
+use phelps::sim::{Mode, PhelpsFeatures, Pipeline, PreExecEngine, RunConfig, SimResult};
 use phelps_isa::{Cpu, ExecRecord, Reg};
+use phelps_runahead::{runahead_pipeline, BrVariant};
+use phelps_uarch::stats::SimStats;
 use std::fmt;
 
 /// Dynamic-instruction bound for the reference run. Generated programs
 /// are statically guaranteed to halt far below this; hitting it means the
 /// generator itself is broken.
 pub const EMU_BOUND: u64 = 2_000_000;
+
+/// Retired instructions [`check_kernel_prefix`] checks per run.
+pub const KERNEL_PREFIX: u64 = 60_000;
+
+/// Epoch length of the kernel prefix runs: short enough that both engines
+/// train and trigger well within [`KERNEL_PREFIX`].
+pub const KERNEL_EPOCH: u64 = 10_000;
+
+/// Name of the Branch Runahead run in a [`Mismatch`].
+pub const BR_SPEC: &str = "br-spec";
 
 /// A divergence between the pipeline and the reference emulator.
 #[derive(Clone, Debug)]
@@ -52,18 +73,25 @@ pub fn modes() -> [(&'static str, Mode); 4] {
     ]
 }
 
+/// Steps the emulator until it halts or has run `limit` instructions,
+/// returning the record stream and the CPU after it.
+fn emulate(cpu: &Cpu, limit: u64) -> (Vec<ExecRecord>, Cpu) {
+    let mut emu = cpu.clone();
+    let mut recs = Vec::new();
+    while !emu.is_halted() && (recs.len() as u64) < limit {
+        recs.push(emu.step().expect("reference emulator fault"));
+    }
+    (recs, emu)
+}
+
 /// Runs the reference emulator to halt, returning the full record stream
 /// (including the final `halt` record) and the halted CPU.
 pub fn reference_trace(cpu: &Cpu) -> (Vec<ExecRecord>, Cpu) {
-    let mut emu = cpu.clone();
-    let mut recs = Vec::new();
-    while !emu.is_halted() {
-        assert!(
-            (recs.len() as u64) < EMU_BOUND,
-            "generated program exceeded {EMU_BOUND} instructions without halting"
-        );
-        recs.push(emu.step().expect("reference emulator fault"));
-    }
+    let (recs, emu) = emulate(cpu, EMU_BOUND);
+    assert!(
+        emu.is_halted(),
+        "generated program exceeded {EMU_BOUND} instructions without halting"
+    );
     (recs, emu)
 }
 
@@ -74,18 +102,22 @@ fn describe(rec: &ExecRecord) -> String {
     )
 }
 
-fn compare_mode(
+/// Runs a pipeline with retire logging on.
+fn run_logged<E: PreExecEngine>(mut p: Pipeline<E>) -> SimResult {
+    p.record_retires();
+    p.run()
+}
+
+/// Compares one logged run against the reference stream `want` and the
+/// emulator state `emu` after it.
+fn compare(
     mode: &'static str,
-    cpu: &Cpu,
-    cfg: &RunConfig,
+    r: &SimResult,
     want: &[ExecRecord],
     emu: &Cpu,
 ) -> Result<(), Mismatch> {
     let err = |what: String| Err(Mismatch { mode, what });
-    let mut p = Pipeline::from_config(cpu.clone(), cfg);
-    p.record_retires();
-    let r = p.run();
-    let got = r.retire_log.expect("retire log was requested");
+    let got = r.retire_log.as_ref().expect("retire log was requested");
     for (i, (w, g)) in want.iter().zip(got.iter()).enumerate() {
         if w != g {
             return err(format!(
@@ -107,9 +139,18 @@ fn compare_mode(
             }
         ));
     }
-    let fin = r.final_state.expect("final state was requested");
+    let fin = r.final_state.as_ref().expect("final state was requested");
+    let mut written = [false; phelps_isa::NUM_REGS];
+    for d in want.iter().filter_map(|rec| rec.inst.dst()) {
+        written[d.index()] = true;
+    }
     for reg in Reg::all() {
-        let (w, g) = (emu.reg(reg), fin.mt_regs[reg.index()]);
+        let w = if written[reg.index()] {
+            emu.reg(reg)
+        } else {
+            0
+        };
+        let g = fin.mt_regs[reg.index()];
         if w != g {
             return err(format!(
                 "final register {reg} diverges: want {w:#x}, got {g:#x}"
@@ -124,20 +165,60 @@ fn compare_mode(
     Ok(())
 }
 
-/// Checks one prepared CPU across every mode in [`modes`], returning the
-/// first divergence found.
+/// Checks one prepared CPU, run to halt, across every mode in [`modes`]
+/// and under BR-Speculative, returning the first divergence found.
 pub fn check_cpu(cpu: &Cpu) -> Result<(), Mismatch> {
     let (want, emu) = reference_trace(cpu);
+    // Margin above the reference length: a duplication bug retires
+    // extra records (caught by the length check) instead of tripping
+    // the instruction cap exactly at the reference length. Short epochs
+    // so the engines get a chance to trigger on the small generated
+    // programs.
+    let cfg = |mode| RunConfig::quick(mode, want.len() as u64 + 8, 2_000);
     for (name, mode) in modes() {
-        // Margin above the reference length: a duplication bug retires
-        // extra records (caught by the length check) instead of tripping
-        // the instruction cap exactly at the reference length. Short
-        // epochs so the Phelps engine gets a chance to trigger on the
-        // small generated programs.
-        let cfg = RunConfig::quick(mode, want.len() as u64 + 8, 2_000);
-        compare_mode(name, cpu, &cfg, &want, &emu)?;
+        let r = run_logged(Pipeline::from_config(cpu.clone(), &cfg(mode)));
+        compare(name, &r, &want, &emu)?;
     }
-    Ok(())
+    let br = runahead_pipeline(cpu.clone(), &cfg(Mode::Baseline), BrVariant::Speculative);
+    compare(BR_SPEC, &run_logged(br), &want, &emu)
+}
+
+/// Checks the first [`KERNEL_PREFIX`] retired instructions of a kernel
+/// under Phelps (`full()`) and BR-Speculative against the emulator after
+/// the same count. A run that never triggers pre-execution or retires no
+/// helper-thread instruction is a failure too, so the check cannot turn
+/// vacuous. Returns each run's name and statistics.
+pub fn check_kernel_prefix(cpu: &Cpu) -> Result<[(&'static str, SimStats); 2], Mismatch> {
+    let (want, emu) = emulate(cpu, KERNEL_PREFIX);
+    let cfg = |mode| RunConfig::quick(mode, KERNEL_PREFIX, KERNEL_EPOCH);
+    let phelps = cfg(Mode::Phelps(PhelpsFeatures::full()));
+    let runs = [
+        (
+            "phelps",
+            run_logged(Pipeline::from_config(cpu.clone(), &phelps)),
+        ),
+        (
+            BR_SPEC,
+            run_logged(runahead_pipeline(
+                cpu.clone(),
+                &cfg(Mode::Baseline),
+                BrVariant::Speculative,
+            )),
+        ),
+    ];
+    for (mode, r) in &runs {
+        compare(mode, r, &want, &emu)?;
+        if r.stats.triggers == 0 || r.stats.ht_retired == 0 {
+            return Err(Mismatch {
+                mode,
+                what: format!(
+                    "vacuous run: {} triggers, {} helper-thread instructions retired",
+                    r.stats.triggers, r.stats.ht_retired
+                ),
+            });
+        }
+    }
+    Ok(runs.map(|(mode, r)| (mode, r.stats)))
 }
 
 #[cfg(test)]

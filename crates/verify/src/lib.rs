@@ -3,20 +3,27 @@
 //! Differential co-simulation fuzzing harness for the Phelps
 //! reproduction. Random guest programs (see [`gen`]) run lock-step
 //! through the functional emulator and the cycle-level pipeline in every
-//! mode, and the retired record streams plus final architectural state
-//! must agree exactly (see [`diff`]). Failures are minimized by a
-//! delta-debugging shrinker (see [`shrink`]) and reported with a
-//! `PHELPS_FUZZ_SEED=<seed>` replay line.
+//! mode and under Branch Runahead, and the retired record streams plus
+//! final architectural state must agree exactly (see [`diff`]). Failures
+//! are minimized by a delta-debugging shrinker (see [`shrink`]) and
+//! reported with a `PHELPS_FUZZ_SEED=<seed>` replay line.
+//!
+//! The generated programs are too small to make either engine trigger,
+//! so a second oracle ([`diff::check_kernel_prefix`]) checks the first
+//! 60k retired instructions of real kernels under Phelps and
+//! BR-Speculative, where helper threads trigger and retire, and fails a
+//! run that triggers nothing.
 //!
 //! Build with `--features debug-invariants` to additionally compile the
 //! pipeline's per-cycle microarchitectural assertions (in-order retire,
-//! LSQ age ordering, resource-counter and rename-map consistency, MSHR
-//! occupancy) into the fuzzed runs — CI does.
+//! LSQ age ordering, resource-counter and rename-map consistency, the
+//! wakeup lists and completion events, MSHR occupancy) into the checked
+//! runs — CI does.
 //!
 //! Entry points: the `phelps-fuzz` binary (CI), the
 //! `tests/fuzz_differential.rs` integration test (seeded sweep +
-//! proptest-driven random seeds), and [`fuzz`]/[`run_seed`] for
-//! programmatic use.
+//! proptest-driven random seeds), the `tests/kernel_prefix.rs` kernel
+//! oracle (CI), and [`fuzz`]/[`run_seed`] for programmatic use.
 
 #![warn(missing_docs)]
 

@@ -26,6 +26,13 @@ echo "==> differential fuzz (200 programs, fixed seed, debug-invariants)"
 cargo run --release -q -p phelps-verify --features debug-invariants \
     --bin phelps-fuzz -- 200
 
+echo "==> kernel prefix oracle (bfs, astar_small x Phelps, BR; debug-invariants)"
+# The fuzzed programs never trigger an engine; this runs real kernels
+# whose helper threads trigger and retire, and fails a run that triggers
+# nothing, so every side-thread path meets the per-cycle assertions.
+cargo test --release -q -p phelps-verify --features debug-invariants \
+    --test kernel_prefix
+
 echo "==> workload halt check (release; ~290M emulated instructions)"
 cargo test --release -q -p phelps-repro --test workload_differential \
     -- --ignored

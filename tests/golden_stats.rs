@@ -77,6 +77,26 @@ fn golden_phelps_full_astar_small() {
     assert_eq!(r.stats.l1d_misses, 957);
 }
 
+/// Branch Runahead pin: the only golden run whose side threads execute
+/// chains with loose (dataflow) retirement and whose main thread keeps
+/// the whole ROB and SQ under explicit quotas.
+#[test]
+fn golden_branch_runahead_astar_small() {
+    let r = simulate_runahead(
+        suite::astar_small().cpu,
+        &cfg(Mode::Baseline),
+        BrVariant::Speculative,
+    );
+    assert_eq!(r.stats.cycles, 168_216, "branch runahead cycles drifted");
+    assert_eq!(r.stats.mt_retired, 200_000);
+    assert_eq!(r.stats.mt_mispredicts, 3_774);
+    assert_eq!(r.stats.ht_retired, 87_230);
+    assert_eq!(r.stats.triggers, 58);
+    assert_eq!(r.stats.preds_from_queue, 3_764);
+    assert_eq!(r.stats.mispredicts_from_queue, 180);
+    assert_eq!(r.stats.l1d_misses, 962);
+}
+
 /// Region-restore pin: a W=0 checkpoint restore at instruction 50,000
 /// must reproduce the fast-forwarded region run bit-for-bit, down to the
 /// exact cycle count. A drift here means the restore path perturbs
