@@ -303,6 +303,7 @@ mod tests {
     fn corrupt_text_is_a_miss() {
         assert!(parse_cell("{not json", "fp").is_none());
         assert!(parse_cell("{\"fingerprint\":\"fp\"}", "fp").is_none());
+        assert!(parse_cell(&"[".repeat(10_000), "fp").is_none());
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Issue/execute stage: oldest-first wakeup/select over the shared issue
-//! queue under per-lane budgets, trace-fed main-thread execution (with
-//! branch resolution), and real-value side-thread execution (predicate
+//! Issue/execute stage: oldest-first select from the shared issue queue
+//! under per-lane budgets, trace-fed main-thread execution (with branch
+//! resolution), and real-value side-thread execution (predicate
 //! evaluation, store-cache-backed loads, engine steering).
 //!
-//! Readiness is an event-maintained counter, not a per-cycle re-check:
-//! every instruction carries a ready-dep count in the slab's meta column.
-//! An instruction that starts executing schedules its completion, and
+//! Readiness is event-maintained, not re-checked per cycle: every
+//! instruction carries a ready-dep count in the slab's meta column. An
+//! instruction that starts executing schedules its completion, and
 //! [`SimContext::complete_execution`] decrements the counts of only the
-//! consumers registered with each producer that turns `Done` (see
-//! [`super::slab`]). Select then tests a single byte per candidate.
+//! consumers registered with each producer that turns `Done`. A consumer
+//! whose count reaches zero joins its lane's ready queue (see
+//! [`super::slab`]). Select pops those queues and never visits an entry
+//! that still waits.
 
 use super::{Pipeline, SimContext, Stage, NO_DEP};
 use crate::sim::types::{ExecInfo, PreExecEngine, SideAction, SideKind, MT, NUM_THREADS};
@@ -47,33 +49,19 @@ impl SimContext {
 impl<E: PreExecEngine> Pipeline<E> {
     pub(super) fn issue(&mut self) {
         let mut budget = [
-            self.ctx.cfg.lanes_alu as i32,
-            self.ctx.cfg.lanes_mem as i32,
-            self.ctx.cfg.lanes_complex as i32,
+            self.ctx.cfg.lanes_alu,
+            self.ctx.cfg.lanes_mem,
+            self.ctx.cfg.lanes_complex,
         ];
-        // Oldest-first selection: the IQ is kept sorted ascending at
-        // dispatch, so walking it in order *is* oldest-first. The walk
-        // runs over a reused scratch snapshot because `execute` can
-        // mutate the IQ mid-walk (side squash / terminate); entries that
-        // issue leave `Stage::InIq`, so one retain pass at the end prunes
-        // them in O(n) without the old per-entry `issued.contains` scan.
-        let mut scratch = std::mem::take(&mut self.ctx.issue_scratch);
-        scratch.clear();
-        scratch.extend_from_slice(&self.ctx.iq);
-        for &seq in &scratch {
-            if budget.iter().all(|b| *b <= 0) {
-                break;
-            }
-            let Some(m) = self.ctx.insts.meta(seq) else {
-                continue;
-            };
-            let lane_idx = m.lane.index();
-            if budget[lane_idx] <= 0 {
-                continue;
-            }
-            if m.unready > 0 {
-                continue;
-            }
+        // Oldest-first select: each pop is the oldest ready entry among
+        // the lanes with budget left. `execute` may change the queues
+        // mid-walk: a dead drain wakes younger consumers into them, which
+        // can still issue this cycle, and a squash or terminate leaves
+        // entries that the pops drop.
+        let mut held = std::mem::take(&mut self.ctx.issue_scratch);
+        while let Some(seq) = self.ctx.insts.pop_ready(&budget) {
+            let m = self.ctx.insts.meta(seq).expect("popped entry is in flight");
+            let lane = m.lane.index();
             if m.is_load()
                 && m.tid as usize == MT
                 && self
@@ -84,21 +72,21 @@ impl<E: PreExecEngine> Pipeline<E> {
                 && !self.ctx.older_stores_resolved(MT, seq)
             {
                 // MT store-set-style predictor: loads that violated before
-                // wait for older stores' addresses. Side-thread loads issue
-                // freely: a side ordering race merely reads slightly stale
-                // data (the helper thread is speculative anyway), and never
-                // squashes — a side squash would desynchronize the engine's
-                // iteration sequencing.
+                // wait for older stores' addresses, spending no budget.
+                // Side-thread loads issue freely: a side ordering race
+                // merely reads slightly stale data (the helper thread is
+                // speculative anyway), and never squashes — a side squash
+                // would desynchronize the engine's iteration sequencing.
+                held.push(seq);
                 continue;
             }
-            budget[lane_idx] -= 1;
+            budget[lane] -= 1;
             self.execute(seq);
         }
-        self.ctx.issue_scratch = scratch;
-        let insts = &self.ctx.insts;
-        self.ctx
-            .iq
-            .retain(|&s| matches!(insts.stage(s), Some(Stage::InIq)));
+        for seq in held.drain(..) {
+            self.ctx.insts.requeue(seq);
+        }
+        self.ctx.issue_scratch = held;
         self.ctx.thread_priority = (self.ctx.thread_priority + 1) % NUM_THREADS;
     }
 
@@ -107,7 +95,7 @@ impl<E: PreExecEngine> Pipeline<E> {
         let tid = m.tid as usize;
         if m.is_dead() {
             // Dead instructions drain without effects; they still wake
-            // their consumers, which may issue later in this same walk.
+            // their consumers, which may issue later in this same select.
             self.ctx.insts.set_stage(seq, Stage::Done);
             self.ctx.insts.wake_consumers(seq);
             return;

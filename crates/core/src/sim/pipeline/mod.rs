@@ -22,8 +22,9 @@
 //! except the pre-execution engine):
 //!
 //! * [`fetch`] — MT trace fetch, side-thread fetch, branch prediction;
-//! * [`rename_dispatch`] — rename, resource allocation, IQ insertion;
-//! * [`issue_execute`] — wakeup/select, MT and side execution;
+//! * [`rename_dispatch`] — rename, resource allocation, IQ entry;
+//! * [`issue_execute`] — select from the ready queues, MT and side
+//!   execution;
 //! * [`lsq`] — store-to-load forwarding, ordering-violation detection,
 //!   doubleword extract/merge;
 //! * [`retire`] — in-order (and loose side) retirement, stat accounting;
@@ -371,16 +372,13 @@ struct SimContext {
     store_cache: StoreCache,
     threads: Vec<ThreadCtx>,
     /// In-flight instruction table: seq-indexed slab with hot
-    /// structure-of-arrays columns (see [`slab`]).
+    /// structure-of-arrays columns. It also holds the shared issue
+    /// queue, as an occupancy count and per-lane ready queues (see
+    /// [`slab`]).
     insts: InstSlab,
-    /// Shared issue queue: seqs, kept sorted ascending (oldest first) by
-    /// binary-search insertion at dispatch, so issue selection walks it
-    /// directly instead of cloning and sorting every cycle.
-    iq: Vec<u64>,
-    /// Reused scratch for the per-cycle issue walk: `issue` snapshots the
-    /// IQ here so selection survives mid-walk IQ mutation (a side-thread
-    /// squash triggered by an executing branch) without a fresh
-    /// allocation every cycle.
+    /// Reused scratch for the issue walk: the MT loads that the
+    /// store-set check held this cycle, put back in their ready queue
+    /// after the walk.
     issue_scratch: Vec<u64>,
     /// Reused scratch for loose side retirement.
     loose_scratch: Vec<u64>,
@@ -463,7 +461,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             store_cache: StoreCache::paper_default(),
             threads,
             insts: InstSlab::new(),
-            iq: Vec::new(),
             issue_scratch: Vec::new(),
             loose_scratch: Vec::new(),
             next_seq: 0,
@@ -708,11 +705,13 @@ impl SimContext {
     /// matching the live post-dispatch instructions (a drifting counter is
     /// the usage-counter analog of a free list double-allocating), rename
     /// and predicate-rename entries pointing only at live same-thread
-    /// producers of the mapped register, issue-queue entries being live
-    /// waiting instructions, and the wakeup structures: every not-ready
-    /// dep slot of an IQ entry names a live producer whose consumer list
-    /// holds that entry exactly once, and every executing instruction has
-    /// its completion event pending. Stage-local invariants (in-order retire,
+    /// producers of the mapped register, the IQ occupancy count matching
+    /// the live `InIq` entries, and the wakeup structures: every
+    /// not-ready dep slot of an IQ entry names a live producer whose
+    /// consumer list holds that entry exactly once, every ready IQ entry
+    /// sits in its own lane's ready queue exactly once, no queued live
+    /// entry waits on a dep, and every executing instruction has its
+    /// completion event pending. Stage-local invariants (in-order retire,
     /// LSQ forwarding age order, MSHR occupancy) live in their stage
     /// modules and in `phelps-uarch`.
     #[cfg(feature = "debug-invariants")]
@@ -813,14 +812,37 @@ impl SimContext {
             rob_total,
             "slab live count drifted from ROB membership"
         );
-        for &s in &self.iq {
-            let stage = self.insts.stage(s).unwrap_or_else(|| {
-                panic!("issue queue holds seq {s} which is no longer in flight")
-            });
-            assert!(
-                matches!(stage, Stage::InIq),
-                "issue queue holds seq {s} in stage {stage:?}"
+        // A queued seq that left the IQ is stale and is dropped when
+        // popped; every other queued seq must be a ready IQ entry of the
+        // queue's lane.
+        let mut queued: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+        for (lane, s) in self.insts.queued() {
+            let Some(m) = self.insts.meta(s) else {
+                continue;
+            };
+            assert_eq!(
+                self.insts.stage(s),
+                Some(Stage::InIq),
+                "ready queue holds seq {s}, which has left the IQ"
             );
+            assert_eq!(
+                m.unready, 0,
+                "ready queue holds seq {s} with {} unready deps",
+                m.unready
+            );
+            assert_eq!(
+                m.lane.index(),
+                lane,
+                "seq {s} is queued in another lane's ready queue"
+            );
+            *queued.entry(s).or_default() += 1;
+        }
+        let mut iq_len = 0usize;
+        for (s, _) in self.insts.iter() {
+            if self.insts.stage(s) != Some(Stage::InIq) {
+                continue;
+            }
+            iq_len += 1;
             // The event-maintained ready-dep count must equal the count
             // recomputed from the dep slots: a drift here is a missed or
             // double wakeup. Each unfinished producer must also hold this
@@ -842,7 +864,16 @@ impl SimContext {
                 m.unready, unready,
                 "seq {s}: ready-dep count drifted from dep-slot stages"
             );
+            if unready == 0 {
+                let n = queued.get(&s).copied().unwrap_or(0);
+                assert_eq!(n, 1, "ready IQ entry {s} is queued {n} times");
+            }
         }
+        assert_eq!(
+            self.insts.iq_len(),
+            iq_len,
+            "IQ occupancy count drifted from the live InIq entries"
+        );
         let events: std::collections::HashSet<(u64, u64)> = self.insts.events().collect();
         for (s, _) in self.insts.iter() {
             if let Some(Stage::Exec { done }) = self.insts.stage(s) {

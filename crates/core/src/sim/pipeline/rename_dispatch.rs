@@ -1,13 +1,14 @@
 //! Rename/dispatch stage: drains the frontend pipe in program order,
 //! renames sources against the per-thread RMTs, allocates LQ/SQ/PRF
-//! shares, registers each instruction with the in-flight producers it
-//! waits on (see [`super::slab`]), and inserts into the shared issue
-//! queue.
+//! shares, and moves each instruction into the shared issue queue, whose
+//! occupancy the slab counts. Entering the IQ registers the instruction
+//! with the in-flight producers it waits on, or queues it for issue when
+//! it waits on none (see [`super::slab`]).
 //!
 //! Dispatch never consults the pre-execution engine, so the whole stage
 //! lives on [`SimContext`].
 
-use super::{SimContext, Stage, NO_DEP};
+use super::{SimContext, NO_DEP};
 use crate::sim::types::{SideKind, NUM_THREADS};
 
 impl SimContext {
@@ -29,7 +30,7 @@ impl SimContext {
                     break; // still in the frontend pipe
                 }
                 // Resource checks.
-                if self.iq.len() as u32 >= self.cfg.iq {
+                if self.insts.iq_len() >= self.cfg.iq as usize {
                     break;
                 }
                 let t = &self.threads[tid];
@@ -100,19 +101,10 @@ impl SimContext {
                         t.pred_rmt[dest as usize] = Some(seq);
                     }
                 }
-                // Seed the ready-dep count and register with the
-                // unfinished producers, which wake this consumer.
+                // Enter the IQ: seed the ready-dep count and register with
+                // the unfinished producers, which wake this consumer.
                 self.insts.bind_deps(seq, deps, pred_deps);
-                self.insts.set_stage(seq, Stage::InIq);
                 self.insts.get_mut(seq).expect("present").mem_done = 0;
-                // Keep the IQ sorted ascending (issue walks it oldest
-                // first). Seqs are allocated monotonically, so inserts
-                // land at or near the tail; only cross-thread dispatch
-                // interleaving ever shifts elements.
-                match self.iq.binary_search(&seq) {
-                    Err(pos) => self.iq.insert(pos, seq),
-                    Ok(_) => unreachable!("seq {seq} dispatched twice"),
-                }
                 self.threads[tid].frontend -= 1;
                 dispatched += 1;
             }

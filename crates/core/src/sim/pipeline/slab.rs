@@ -31,6 +31,21 @@
 //! ([`InstSlab::wake_consumers`]). Events of seqs that have left flight
 //! are dropped when popped; seqs are never reused, so that is safe.
 //!
+//! The issue queue is not a list either. It is the set of live
+//! [`Stage::InIq`] entries, with two views kept on events:
+//!
+//! * the **occupancy count** ([`InstSlab::iq_len`]), updated on every
+//!   stage change and every removal, which dispatch compares with the
+//!   IQ size;
+//! * the **ready queues**, one min-heap of seqs per issue lane. An entry
+//!   joins its lane's queue exactly once, when it is in the IQ with no
+//!   unready dep: at dispatch ([`InstSlab::bind_deps`]) or when
+//!   [`InstSlab::wake_consumers`] brings its count to zero. Select
+//!   ([`InstSlab::pop_ready`]) merges the lane heads, so it visits
+//!   ready entries in global oldest-first order and costs what issues,
+//!   not what waits. Entries that left the IQ are dropped when popped,
+//!   for the same reason as stale completion events.
+//!
 //! The payload ([`DynInst`]: trace record, checkpoints, side metadata,
 //! results) is touched only when an instruction actually executes or
 //! retires.
@@ -155,6 +170,10 @@ pub(super) struct InstSlab {
     links: VecDeque<[u64; 4]>,
     /// Pending completions `(done, seq)`, earliest first.
     events: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Per-lane ready queues (indexed by [`Lane::index`]), oldest first.
+    ready: [BinaryHeap<Reverse<u64>>; 3],
+    /// Live entries in [`Stage::InIq`].
+    iq_len: usize,
     live: usize,
 }
 
@@ -180,6 +199,11 @@ impl InstSlab {
         self.live
     }
 
+    /// Issue-queue occupancy: the live entries in [`Stage::InIq`].
+    pub(super) fn iq_len(&self) -> usize {
+        self.iq_len
+    }
+
     /// Inserts the next instruction. Seqs must arrive in allocation
     /// order — the slab is dense by construction.
     pub(super) fn insert(&mut self, di: DynInst, stage: Stage, meta: InstMeta) {
@@ -194,10 +218,6 @@ impl InstSlab {
         self.waiters.push_back(NO_WAITER);
         self.links.push_back([NO_WAITER; 4]);
         self.live += 1;
-    }
-
-    pub(super) fn contains(&self, seq: u64) -> bool {
-        self.index(seq).is_some_and(|i| self.stage[i].is_some())
     }
 
     pub(super) fn get(&self, seq: u64) -> Option<&DynInst> {
@@ -216,20 +236,33 @@ impl InstSlab {
         self.stage[self.index(seq)?]
     }
 
-    /// Sets the stage of a live instruction. `Exec` goes through
-    /// [`InstSlab::start_exec`], which also schedules the completion.
+    /// Writes a live slot's stage and keeps the IQ occupancy count.
+    fn restage(&mut self, i: usize, st: Stage) {
+        let old = self.stage[i].replace(st);
+        debug_assert!(old.is_some(), "restaging a dead slot");
+        if st == Stage::InIq {
+            self.iq_len += 1;
+        }
+        if old == Some(Stage::InIq) {
+            self.iq_len -= 1;
+        }
+    }
+
+    /// Sets the stage of a live instruction. `InIq` goes through
+    /// [`InstSlab::bind_deps`], which also queues the entry for issue;
+    /// `Exec` goes through [`InstSlab::start_exec`], which also
+    /// schedules the completion.
     pub(super) fn set_stage(&mut self, seq: u64, st: Stage) {
         let i = self.index(seq).expect("set_stage on reclaimed seq");
-        debug_assert!(self.stage[i].is_some(), "set_stage on dead slot");
+        debug_assert!(st != Stage::InIq, "InIq without binding deps");
         debug_assert!(!matches!(st, Stage::Exec { .. }), "Exec without an event");
-        self.stage[i] = Some(st);
+        self.restage(i, st);
     }
 
     /// A live instruction starts executing and completes at `done`.
     pub(super) fn start_exec(&mut self, seq: u64, done: u64) {
         let i = self.index(seq).expect("start_exec on reclaimed seq");
-        debug_assert!(self.stage[i].is_some(), "start_exec on dead slot");
-        self.stage[i] = Some(Stage::Exec { done });
+        self.restage(i, Stage::Exec { done });
         self.events.push(Reverse((done, seq)));
     }
 
@@ -260,10 +293,11 @@ impl InstSlab {
         dep == NO_DEP || matches!(self.stage(dep), None | Some(Stage::Done))
     }
 
-    /// Dispatch: stores a consumer's dep slots, seeds its ready-dep count
-    /// with the slots whose producer has not completed, and registers it
-    /// once with each distinct such producer, linking through the first
-    /// slot that names it.
+    /// Dispatch: moves a frontend instruction into the IQ, stores its
+    /// dep slots, seeds its ready-dep count with the slots whose producer
+    /// has not completed, and registers it once with each distinct such
+    /// producer, linking through the first slot that names it. With no
+    /// such producer it is ready at once and joins its lane's queue.
     pub(super) fn bind_deps(&mut self, seq: u64, deps: [u64; 2], pred_deps: [u64; 2]) {
         let slots = [deps[0], deps[1], pred_deps[0], pred_deps[1]];
         let c = self.index(seq).expect("binding a reclaimed seq");
@@ -278,14 +312,25 @@ impl InstSlab {
                 self.links[c][k] = std::mem::replace(&mut self.waiters[p], seq * 4 + k as u64);
             }
         }
-        let m = self.meta_mut(seq).expect("binding a live instruction");
+        debug_assert_eq!(
+            self.stage[c],
+            Some(Stage::Frontend),
+            "dispatching seq {seq} twice"
+        );
+        let m = &mut self.meta[c];
         m.deps = deps;
         m.pred_deps = pred_deps;
         m.unready = unready;
+        let lane = m.lane.index();
+        self.restage(c, Stage::InIq);
+        if unready == 0 {
+            self.ready[lane].push(Reverse(seq));
+        }
     }
 
     /// Wakeup: `producer` turned `Done`. Each registered consumer still in
-    /// flight loses one ready-dep count per dep slot naming the producer.
+    /// flight loses one ready-dep count per dep slot naming the producer,
+    /// and joins its lane's ready queue when the count reaches zero.
     /// The transition to `Done` is unique per seq, so every slot is
     /// accounted exactly once and the counts cannot underflow.
     pub(super) fn wake_consumers(&mut self, producer: u64) {
@@ -316,7 +361,53 @@ impl InstSlab {
                 m.unready
             );
             m.unready -= hits;
+            if m.unready == 0 {
+                self.ready[m.lane.index()].push(Reverse(c));
+            }
         }
+    }
+
+    /// Issue select: pops the oldest ready IQ entry among the lanes with
+    /// budget left, or `None` when those lanes hold none. Taking the
+    /// oldest of the lane heads, rather than draining one lane after
+    /// another, keeps select in global oldest-first order. Entries that
+    /// left the IQ since they were queued are dropped here.
+    pub(super) fn pop_ready(&mut self, budget: &[u32; 3]) -> Option<u64> {
+        loop {
+            let mut best: Option<(u64, usize)> = None;
+            for (lane, q) in self.ready.iter().enumerate() {
+                if budget[lane] == 0 {
+                    continue;
+                }
+                if let Some(&Reverse(s)) = q.peek() {
+                    if best.is_none_or(|(b, _)| s < b) {
+                        best = Some((s, lane));
+                    }
+                }
+            }
+            let (seq, lane) = best?;
+            self.ready[lane].pop();
+            if self.stage(seq) == Some(Stage::InIq) {
+                return Some(seq);
+            }
+        }
+    }
+
+    /// Puts a popped entry that did not issue (a held load) back in its
+    /// lane's queue.
+    pub(super) fn requeue(&mut self, seq: u64) {
+        let i = self.index(seq).expect("a held entry is still in flight");
+        self.ready[self.meta[i].lane.index()].push(Reverse(seq));
+    }
+
+    /// Every queued seq with its lane index, in no order, including
+    /// entries that have left the IQ and are not yet popped.
+    #[cfg_attr(not(feature = "debug-invariants"), allow(dead_code))]
+    pub(super) fn queued(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.ready
+            .iter()
+            .enumerate()
+            .flat_map(|(lane, q)| q.iter().map(move |&Reverse(s)| (lane, s)))
     }
 
     /// The consumers registered with a live producer, newest first.
@@ -344,17 +435,15 @@ impl InstSlab {
         self.stage[i].is_some().then(|| &self.meta[i])
     }
 
-    pub(super) fn meta_mut(&mut self, seq: u64) -> Option<&mut InstMeta> {
-        let i = self.index(seq)?;
-        self.stage[i].is_some().then(|| &mut self.meta[i])
-    }
-
     /// Removes a live instruction, returning its payload and column
     /// state, then reclaims any contiguous dead prefix so the slab
     /// tracks the in-flight window.
     pub(super) fn remove(&mut self, seq: u64) -> Option<RemovedInst> {
         let i = self.index(seq)?;
         let stage = self.stage[i].take()?;
+        if stage == Stage::InIq {
+            self.iq_len -= 1;
+        }
         let di = self.slots[i].take().expect("stage/slot parity");
         let meta = self.meta[i];
         self.live -= 1;
@@ -432,38 +521,65 @@ mod tests {
     /// Indices select among the currently live seqs (mod live count).
     #[derive(Clone, Copy, Debug)]
     enum Op {
-        /// Fetch: insert the next seq.
-        Alloc,
+        /// Fetch: insert the next seq, in the given issue lane.
+        Alloc(u8),
         /// In-order retire: remove the oldest live seq.
         RetireFront,
         /// Loose side retire: remove an arbitrary live seq.
         RemoveAt(usize),
         /// Squash: remove every live seq >= a live pivot.
         SquashFrom(usize),
-        /// Stage transitions other than issue (dispatch, dead drain).
+        /// Stage transitions other than dispatch and issue (dead drain).
         SetStage(usize, u8),
+        /// Dispatch with every dep ready: a frontend seq enters the IQ
+        /// and its lane's ready queue.
+        Enqueue(usize),
+        /// Issue select under the given lane budget: every popped seq
+        /// starts executing (completing at the given cycle), except the
+        /// held ones (seq divisible by the third field plus one, when
+        /// that field is nonzero), which go back in their queue.
+        PopReady([u32; 3], u64, u64),
         /// Issue: start executing, completing at the given cycle.
         Exec(usize, u64),
         /// Completion: pop every event due by the given cycle.
         Sweep(u64),
     }
 
+    /// Alloc and Enqueue are listed four times each to weight them:
+    /// with one entry each the removals keep the window nearly empty,
+    /// and select rarely has two lanes to merge.
     fn op() -> impl Strategy<Value = Op> {
         prop_oneof![
-            Just(Op::Alloc),
+            (0u8..3).prop_map(Op::Alloc),
+            (0u8..3).prop_map(Op::Alloc),
+            (0u8..3).prop_map(Op::Alloc),
+            (0u8..3).prop_map(Op::Alloc),
+            (0usize..64).prop_map(Op::Enqueue),
+            (0usize..64).prop_map(Op::Enqueue),
+            (0usize..64).prop_map(Op::Enqueue),
+            (0usize..64).prop_map(Op::Enqueue),
             Just(Op::RetireFront),
             (0usize..64).prop_map(Op::RemoveAt),
             (0usize..64).prop_map(Op::SquashFrom),
-            (0usize..64, 0u8..3).prop_map(|(i, s)| Op::SetStage(i, s)),
+            (0usize..64, 0u8..2).prop_map(|(i, s)| Op::SetStage(i, s)),
+            ((0u32..3, 0u32..3, 0u32..3), 0u64..16, 0u64..4)
+                .prop_map(|((a, m, c), d, h)| Op::PopReady([a, m, c], d, h)),
             (0usize..64, 0u64..16).prop_map(|(i, d)| Op::Exec(i, d)),
             (0u64..16).prop_map(Op::Sweep),
         ]
     }
 
+    fn lane_of(code: u8) -> Lane {
+        match code {
+            0 => Lane::Alu,
+            1 => Lane::Mem,
+            _ => Lane::Complex,
+        }
+    }
+
     fn stage_of(code: u8) -> Stage {
         match code {
             0 => Stage::Frontend,
-            1 => Stage::InIq,
             _ => Stage::Done,
         }
     }
@@ -506,16 +622,26 @@ mod tests {
         assert_eq!(slab.meta(4).unwrap().unready, 2);
         assert_eq!(slab.consumers(2).count(), 0, "a woken list is emptied");
 
+        assert_eq!(slab.pop_ready(&[1; 3]), None, "waiting on seq 1");
         assert_eq!(slab.pop_completed(5), Some(1));
         slab.wake_consumers(1);
         assert_eq!(slab.meta(4).unwrap().unready, 0);
+        assert_eq!(
+            slab.pop_ready(&[1, 0, 0]),
+            Some(4),
+            "the last wakeup queues it"
+        );
+        assert_eq!(slab.pop_ready(&[1; 3]), None, "queued exactly once");
     }
 
     proptest! {
-        /// Under random allocate/retire/squash/issue/complete
+        /// Under random allocate/retire/squash/dispatch/issue/complete
         /// interleavings the slab stays equivalent to a reference HashMap
-        /// model, completes exactly the model's executing entries that
-        /// are due (skipping events of removed or restaged seqs),
+        /// model, counts exactly the model's IQ entries, issues exactly
+        /// the oldest IQ entries of each lane with budget in ascending
+        /// seq order (skipping entries that left the IQ and keeping held
+        /// ones queued), completes exactly the model's executing entries
+        /// that are due (skipping events of removed or restaged seqs),
         /// reclaims its dead prefix eagerly (storage bounded by the live
         /// window), and never resurrects a removed seq.
         #[test]
@@ -524,12 +650,14 @@ mod tests {
             let mut model: HashMap<u64, Stage> = HashMap::new();
             let mut next_seq = 1u64;
             let mut removed: Vec<u64> = Vec::new();
+            let mut lanes: HashMap<u64, usize> = HashMap::new();
             for op in ops {
                 match op {
-                    Op::Alloc => {
-                        let meta = InstMeta::new(Lane::Alu, 0, 1, &Inst::Halt);
+                    Op::Alloc(code) => {
+                        let meta = InstMeta::new(lane_of(code), 0, 1, &Inst::Halt);
                         slab.insert(dummy(next_seq), Stage::Frontend, meta);
                         model.insert(next_seq, Stage::Frontend);
+                        lanes.insert(next_seq, lane_of(code).index());
                         next_seq += 1;
                     }
                     Op::RetireFront => {
@@ -564,6 +692,49 @@ mod tests {
                             model.insert(s, stage_of(code));
                         }
                     }
+                    Op::Enqueue(i) => {
+                        if let Some(s) = pick(&model, i).filter(|s| model[s] == Stage::Frontend) {
+                            slab.bind_deps(s, [NO_DEP; 2], [NO_DEP; 2]);
+                            model.insert(s, Stage::InIq);
+                        }
+                    }
+                    Op::PopReady(budget, done, hold) => {
+                        let held = |s: u64| hold > 0 && s.is_multiple_of(hold + 1);
+                        let mut left = budget;
+                        let (mut got, mut kept) = (Vec::new(), Vec::new());
+                        while let Some(s) = slab.pop_ready(&left) {
+                            if held(s) {
+                                kept.push(s);
+                                continue;
+                            }
+                            left[slab.meta(s).expect("popped seq is live").lane.index()] -= 1;
+                            slab.start_exec(s, done);
+                            got.push(s);
+                        }
+                        for s in kept {
+                            slab.requeue(s);
+                        }
+                        let mut ready: Vec<u64> = model
+                            .iter()
+                            .filter(|(_, &st)| st == Stage::InIq)
+                            .map(|(&s, _)| s)
+                            .collect();
+                        ready.sort_unstable();
+                        let mut left = budget;
+                        let want: Vec<u64> = ready
+                            .into_iter()
+                            .filter(|&s| {
+                                let lane = lanes[&s];
+                                let take = !held(s) && left[lane] > 0;
+                                left[lane] -= u32::from(take);
+                                take
+                            })
+                            .collect();
+                        prop_assert_eq!(&got, &want);
+                        for s in want {
+                            model.insert(s, Stage::Exec { done });
+                        }
+                    }
                     Op::Exec(i, done) => {
                         if let Some(s) = pick(&model, i) {
                             slab.start_exec(s, done);
@@ -591,14 +762,16 @@ mod tests {
 
                 // Occupancy and per-seq agreement with the model.
                 prop_assert_eq!(slab.live(), model.len());
+                prop_assert_eq!(
+                    slab.iq_len(),
+                    model.values().filter(|&&st| st == Stage::InIq).count()
+                );
                 for (&s, &st) in &model {
-                    prop_assert!(slab.contains(s));
                     prop_assert_eq!(slab.get(s).map(|d| d.seq), Some(s));
                     prop_assert_eq!(slab.stage(s), Some(st));
                     prop_assert!(slab.meta(s).is_some());
                 }
                 for &s in &removed {
-                    prop_assert!(!slab.contains(s));
                     prop_assert!(slab.get(s).is_none(), "removed seq {} resurrected", s);
                     prop_assert_eq!(slab.stage(s), None);
                     prop_assert!(slab.meta(s).is_none());

@@ -50,8 +50,6 @@ impl<E: PreExecEngine> Pipeline<E> {
         self.ctx.threads[MT].rob.truncate(cut);
         self.ctx.threads[MT].truncate_tracked_from(from);
         self.ctx.threads[MT].frontend = 0;
-        let insts = &self.ctx.insts;
-        self.ctx.iq.retain(|&s| insts.contains(s));
         self.ctx.trace.push_replay_front(recs.into_iter());
         self.ctx.threads[MT].blocking_branch = None;
         self.ctx.threads[MT].fetch_stall_until = self.ctx.cycle + 1;
@@ -124,8 +122,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             self.ctx.threads[tid].stores.clear();
             self.ctx.threads[tid].frontend = 0;
         }
-        let insts = &self.ctx.insts;
-        self.ctx.iq.retain(|&s| insts.contains(s));
         self.ctx.store_cache.clear();
         self.ctx.apply_partition(if self.ctx.partition_only {
             ActiveThreads::MainPartitioned
@@ -180,8 +176,6 @@ impl SimContext {
             .filter(|&&s| matches!(self.insts.stage(s), Some(Stage::Frontend)))
             .count();
         self.threads[tid].frontend = remaining_frontend;
-        let insts = &self.insts;
-        self.iq.retain(|&s| insts.contains(s));
     }
 
     /// Marks engine-tagged instructions dead (they drain without effects).

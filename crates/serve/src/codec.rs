@@ -35,16 +35,19 @@ impl<R: Read> FrameReader<R> {
     pub fn read_frame(&mut self) -> io::Result<Option<String>> {
         loop {
             if let Some(i) = self.pending.iter().position(|&b| b == b'\n') {
+                if i > MAX_FRAME_BYTES {
+                    // The newline arrived in the read that crossed the
+                    // cap: the line is still over it.
+                    self.pending.drain(..=i);
+                    return Err(Self::oversized());
+                }
                 let mut line: Vec<u8> = self.pending.drain(..=i).collect();
                 line.pop();
                 return Self::finish_line(line).map(Some);
             }
             if self.pending.len() > MAX_FRAME_BYTES {
                 self.pending.clear();
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("frame exceeds {MAX_FRAME_BYTES} bytes"),
-                ));
+                return Err(Self::oversized());
             }
             let mut chunk = [0u8; 4096];
             let n = self.inner.read(&mut chunk)?;
@@ -59,6 +62,13 @@ impl<R: Read> FrameReader<R> {
             }
             self.pending.extend_from_slice(&chunk[..n]);
         }
+    }
+
+    fn oversized() -> io::Error {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame exceeds {MAX_FRAME_BYTES} bytes"),
+        )
     }
 
     fn finish_line(mut line: Vec<u8>) -> io::Result<String> {
@@ -131,6 +141,22 @@ mod tests {
         let mut r = FrameReader::new(Cursor::new(big));
         let err = r.read_frame().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // A newline-terminated line one byte over the cap, whose newline
+        // arrives in the read that crosses the cap, is rejected too; a
+        // line exactly at the cap and the frame after it still read.
+        let mut text = vec![b'y'; MAX_FRAME_BYTES + 1];
+        text.push(b'\n');
+        text.extend_from_slice(&[b'z'; MAX_FRAME_BYTES]);
+        text.extend_from_slice(b"\nok\n");
+        let mut r = FrameReader::new(Cursor::new(text));
+        let err = r.read_frame().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            r.read_frame().unwrap().map(|f| f.len()),
+            Some(MAX_FRAME_BYTES)
+        );
+        assert_eq!(r.read_frame().unwrap().as_deref(), Some("ok"));
     }
 
     #[test]

@@ -222,8 +222,13 @@ fn malformed_frames_are_rejected_and_the_connection_survives() {
     let dir = scratch("malformed");
     let handle = daemon(1, 4, &dir);
     let mut cl = client(&handle);
+    // Nested far deeper than the JSON parser's cap, yet well under the
+    // frame size cap: it must be an error frame, not a stack overflow
+    // on the connection thread.
+    let nested = "[".repeat(10_000);
     for (raw, expect_id) in [
         ("this is not json", ""),
+        (nested.as_str(), ""),
         (
             r#"{"type":"submit","id":"w1","workload":"not_a_workload","mode":"baseline"}"#,
             "w1",
@@ -247,7 +252,7 @@ fn malformed_frames_are_rejected_and_the_connection_survives() {
         other => panic!("connection must survive malformed frames, got {other:?}"),
     }
     let stats = cl.stats().unwrap();
-    assert_eq!(stats.malformed, 3);
+    assert_eq!(stats.malformed, 4);
     assert_eq!(stats.simulated, 0);
     drop(cl);
     shutdown(handle);

@@ -64,11 +64,18 @@ impl JsonValue {
     }
 }
 
-/// Parses a complete JSON document, rejecting trailing garbage.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded document could overflow a thread's
+/// stack; documents the repository writes nest fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document, rejecting trailing garbage and
+/// arrays or objects nested more than 128 levels deep.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -82,6 +89,8 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Open arrays and objects around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -128,8 +137,22 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -424,6 +447,33 @@ mod tests {
         assert!(parse(r#"{"a" 1}"#).is_err());
         assert!(parse("{} junk").is_err());
         assert!(parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        let obj = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&obj).is_err());
+    }
+
+    /// A 64 Ki-deep document is an error, not a stack overflow, on a
+    /// thread with the default 2 MiB stack (the daemon's connection
+    /// threads parse every frame on one).
+    #[test]
+    fn deep_nesting_is_an_error_on_a_small_stack() {
+        let text = "[".repeat(64 * 1024);
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&text).is_err())
+            .unwrap()
+            .join();
+        assert_eq!(result.ok(), Some(true));
     }
 
     #[test]

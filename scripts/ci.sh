@@ -58,7 +58,7 @@ case $smoke_out in
 *) echo "ci.sh: warm runner smoke run missed the cache" >&2; exit 1 ;;
 esac
 
-echo "==> figure binaries (all ten, PHELPS_REGION=20000, cold cache)"
+echo "==> figure binaries (all ten, PHELPS_REGION=100000, cold cache)"
 # Every figure binary must run to completion. To check that a change
 # moves no number, run scripts/figures.sh in the parent checkout too and
 # diff the two output directories.

@@ -4,11 +4,16 @@
 # Usage: ./scripts/figures.sh OUTDIR
 #
 # Builds the phelps-bench binaries, clears inherited PHELPS_* variables,
-# and runs all ten binaries at PHELPS_REGION=20000 PHELPS_EPOCH=10000
+# and runs all ten binaries at PHELPS_REGION=100000 PHELPS_EPOCH=10000
 # with the result cache off and a fresh checkpoint directory. Each runs
 # from a temporary working directory, so the tree's results/*.csv are
 # left alone. Stdout goes to OUTDIR/<bin>.txt; any nonzero exit fails
 # the script (the failing binary's stderr is shown).
+#
+# The region is long enough for pre-execution to trigger: every fig11
+# configuration and most fig12a Phelps cells move from Baseline, so the
+# outputs include cells where helper threads run. At a region of 20000
+# no Phelps cell triggers and every one reads +0.0%.
 #
 # A refactor that must not move any number can be checked by running
 # this in a checkout of the parent commit and in the change, then
@@ -33,7 +38,7 @@ trap 'rm -rf "$work"' EXIT
 mkdir "$work/ckpt"
 cd "$work"
 for bin in $bins; do
-    if PHELPS_REGION=20000 PHELPS_EPOCH=10000 PHELPS_NO_CACHE=1 \
+    if PHELPS_REGION=100000 PHELPS_EPOCH=10000 PHELPS_NO_CACHE=1 \
         PHELPS_CKPT_DIR="$work/ckpt" \
         "$root/target/release/$bin" >"$out/$bin.txt" 2>"$work/stderr"; then
         echo "    $bin: $(wc -l <"$out/$bin.txt") lines"
