@@ -43,7 +43,7 @@ struct EvalRun {
 /// by construction — the sharded-equals-sequential CI check diffs two of
 /// these files.
 fn merged_json(runs: &[EvalRun]) -> String {
-    let mut j = String::from("{\"schema\":\"phelps-simpoints-merged/1\",\"runs\":[");
+    let mut j = String::from("{\"schema\":\"phelps-simpoints-merged/2\",\"runs\":[");
     let mut first = true;
     for er in runs {
         let Some(merged) = er.run.merged.as_ref() else {

@@ -25,7 +25,7 @@
 //!
 //! Setting `PHELPS_TRACE=<path>` makes the [`runner`] install a
 //! [`phelps_telemetry`] registry for each simulated cell (thread-local,
-//! so parallel workers never mix counters) and write the harvested
+//! so parallel workers never mix epoch series) and write the harvested
 //! reports to `<path>` as one JSON document (`{"runs": [...]}`), plus
 //! the per-epoch series of every run as a sibling CSV, in cell
 //! submission order regardless of the worker count.
@@ -150,7 +150,7 @@ pub struct SimPointRun {
     /// Per-point results, in point order.
     pub points: Vec<(phelps_workloads::simpoints::SimPoint, SimResult)>,
     /// Every per-point result folded through `SimResult::merge` in point
-    /// order: summed counters, spliced telemetry series. `None` when no
+    /// order: summed `SimStats`, spliced telemetry series. `None` when no
     /// point survived.
     pub merged: Option<SimResult>,
 }

@@ -32,7 +32,7 @@
 
 use phelps::classify::{MispredictBreakdown, MispredictClass};
 use phelps::sim::SimResult;
-use phelps_telemetry::{parse_json, JsonValue};
+use phelps_telemetry::{parse_json, JsonValue, JsonWriter};
 use phelps_uarch::stats::SimStats;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -74,17 +74,13 @@ fn json_escape(s: &str) -> String {
 /// Shared by the cache file format and the `phelps-serve` wire protocol,
 /// so a cached cell and a streamed result are byte-compatible.
 pub fn result_body_json(r: &SimResult) -> String {
-    let mut j = String::from("\"stats\":{");
-    for (i, (k, v)) in SimStats::NAMES.iter().zip(r.stats.to_array()).enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        j.push_str(&format!("\"{k}\":{v}"));
-    }
-    j.push_str(&format!(
-        "}},\"breakdown\":{{\"retired\":{},\"counts\":{{",
+    let mut stats = JsonWriter::new();
+    r.stats.write_json(&mut stats);
+    let mut j = format!(
+        "\"stats\":{},\"breakdown\":{{\"retired\":{},\"counts\":{{",
+        stats.finish(),
         r.breakdown.retired
-    ));
+    );
     let mut first = true;
     for class in MispredictClass::all() {
         let n = r.breakdown.count(class);
@@ -110,19 +106,11 @@ pub(super) fn to_json(fingerprint: &str, r: &SimResult) -> String {
     )
 }
 
-fn stats_from_json(v: &JsonValue) -> Option<SimStats> {
-    let mut values = [0; SimStats::LEN];
-    for (slot, k) in values.iter_mut().zip(SimStats::NAMES) {
-        *slot = v.get(k)?.as_u64()?;
-    }
-    Some(SimStats::from_array(values))
-}
-
 /// Reconstructs a [`SimResult`] from a parsed JSON object containing the
 /// [`result_body_json`] fields (`stats` + `breakdown`). The inverse of
 /// that fragment, shared by the cache loader and the serve client.
 pub fn result_from_body(v: &JsonValue) -> Option<SimResult> {
-    let stats = stats_from_json(v.get("stats")?)?;
+    let stats = SimStats::from_json(v.get("stats")?)?;
     let bd = v.get("breakdown")?;
     let mut breakdown = MispredictBreakdown::new();
     breakdown.retired = bd.get("retired")?.as_u64()?;

@@ -158,11 +158,13 @@ mod tests {
             label: label.to_string(),
             ..Config::default()
         });
-        for cycle in 0..4u64 {
-            tlm::tick(cycle);
-            tlm::add(tlm::Counter::MtRetired, 1);
+        let mut stats = tlm::SimStats::default();
+        for cycle in 1..=4u64 {
+            stats.cycles = cycle;
+            stats.mt_retired += 1;
+            tlm::retired(|| stats.clone());
         }
-        *tlm::harvest().expect("registry installed above")
+        *tlm::harvest(&stats).expect("registry installed above")
     }
 
     fn scratch(tag: &str) -> String {

@@ -88,8 +88,8 @@ fn parallel_run_matches_sequential() {
         let ta = ra.telemetry.as_ref().expect("telemetry harvested");
         let tb = rb.telemetry.as_ref().expect("telemetry harvested");
         assert_eq!(
-            ta.counters, tb.counters,
-            "telemetry counter totals differ for {}/{}",
+            ta.epochs, tb.epochs,
+            "telemetry epoch series differ for {}/{}",
             a.workload, a.config
         );
         assert_eq!(ta.label, format!("{}/{}", a.workload, a.config));

@@ -18,6 +18,7 @@ use phelps_bench::ckpt_support::CkptPolicy;
 use phelps_bench::shard::{run_sharded_with, shard_count, shard_plan};
 use phelps_bench::{run_simpoints_with, SimPointRun};
 use phelps_telemetry as tlm;
+use phelps_uarch::stats::SimStats;
 use phelps_workloads::simpoints::SimPointConfig;
 use phelps_workloads::suite;
 use std::path::PathBuf;
@@ -104,6 +105,23 @@ fn sharded_run_is_independent_of_worker_count() {
     let plan = shard_plan(cfg.max_mt_insts, 4);
     assert_eq!(plan.len(), 4);
     assert!(serial.stats.mt_retired > plan[0].len);
+    // The spliced epoch series still partitions the merged run: each
+    // shard's epochs sum to its own stats, and both sides add.
+    let report = serial.telemetry.as_deref().expect("serial telemetry");
+    let mut sum = SimStats::default();
+    for e in &report.epochs {
+        sum.merge(&e.stats);
+    }
+    for ((name, got), want) in SimStats::NAMES
+        .iter()
+        .zip(sum.to_array())
+        .zip(serial.stats.to_array())
+    {
+        assert_eq!(
+            got, want,
+            "merged epoch deltas of {name} must sum to the merged stats"
+        );
+    }
 }
 
 #[test]

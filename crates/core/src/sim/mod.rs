@@ -30,6 +30,7 @@ pub use types::{
 };
 
 use phelps_isa::Cpu;
+use phelps_telemetry as tlm;
 use phelps_uarch::mem::Uncore;
 
 /// Runs `cpu` (program + initialized memory/registers) to completion under
@@ -144,20 +145,20 @@ impl Pipeline<PhelpsEngine> {
 ///
 /// Shared-level fields of each tenant's
 /// [`phelps_uarch::stats::SimStats`] (L2/L3 misses, shared port and
-/// DRAM-queue stalls, prefetches) hold that tenant's attributed share,
-/// so summing the two tenants reproduces the machine totals. Solo
-/// baselines are the caller's: compare against [`simulate`] of the same
-/// (cpu, config). Telemetry is machine-wide under co-run (both cores
-/// tick one thread-local registry) and is harvested into tenant 0's
-/// result; the tenant-split counters (`shared_port_stalls_t0/t1`,
-/// `dram_queue_stalls_t0/t1`) carry the per-tenant attribution there.
+/// DRAM-queue stalls, prefetches) hold that tenant's attributed share
+/// (see [`Uncore::communal`]), so summing the two tenants reproduces the
+/// machine totals. Solo baselines are the caller's: compare against
+/// [`simulate`] of the same (cpu, config). A telemetry registry
+/// installed on the calling thread describes tenant 0 alone: tenant 1
+/// steps [`phelps_telemetry::muted`], and the report rides on tenant 0's
+/// result with epochs that sum to tenant 0's stats.
 pub fn simulate_corun_pair(
     cpu0: Cpu,
     cfg0: &RunConfig,
     cpu1: Cpu,
     cfg1: &RunConfig,
 ) -> [SimResult; 2] {
-    let mut uncore = Uncore::new(&cfg0.core);
+    let mut uncore = Uncore::communal(&cfg0.core);
     let mut p0 = Pipeline::from_config(cpu0, cfg0);
     let mut p1 = Pipeline::from_config(cpu1, cfg1);
     p0.set_tenant(0);
@@ -171,25 +172,13 @@ pub fn simulate_corun_pair(
             p0.step_shared(&mut uncore);
         }
         if !p1.finished() {
-            p1.step_shared(&mut uncore);
+            tlm::muted(|| p1.step_shared(&mut uncore));
         }
         outer += 1;
     }
-    let mut tenants = [p0.finalize(), p1.finalize()];
-    for (t, r) in tenants.iter_mut().enumerate() {
-        // The cores' owned uncores sat idle behind the swap, so the
-        // shared-level stats flushed as zero; fill in each tenant's
-        // attributed share from the communal uncore. Prefetches add onto
-        // the core-private (L1-targeted) count the flush did capture.
-        let ts = uncore.tenant_stats(t);
-        r.stats.l2_misses = ts.l2_misses;
-        r.stats.l3_misses = ts.l3_misses;
-        r.stats.l2_port_stalls = ts.l2_port_stalls;
-        r.stats.l3_port_stalls = ts.l3_port_stalls;
-        r.stats.dram_queue_stalls = ts.dram_queue_stalls;
-        r.stats.prefetches_issued += ts.prefetches_issued;
-    }
-    tenants
+    // Tenant 0 closes first, so it is the one that harvests telemetry.
+    let r0 = p0.finalize_shared(&mut uncore);
+    [r0, p1.finalize_shared(&mut uncore)]
 }
 
 #[cfg(test)]

@@ -207,14 +207,12 @@ impl PhelpsEngine {
     // ------------------------------------------------------------------
 
     fn end_epoch(&mut self, cycle: u64) {
-        tlm::count(tlm::Counter::EpochsEnded);
         // Finalize any in-flight construction.
         if let Some(c) = self.constructor.take() {
             let bounds = c.target().bounds;
             match c.finalize(self.epoch) {
                 Ok(entry) => {
                     let entry = self.apply_features(entry);
-                    tlm::count(tlm::Counter::HtcInstalls);
                     tlm::event(
                         tlm::EventKind::HtcInstall,
                         cycle,
@@ -608,7 +606,6 @@ impl PreExecEngine for PhelpsEngine {
                     // Inner-thread: wait for a visit.
                     match run.visitq.dequeue() {
                         Some(v) => {
-                            tlm::count(tlm::Counter::VisitDequeues);
                             let mvs: Vec<SideInst> = v
                                 .live_ins
                                 .iter()
@@ -723,11 +720,9 @@ impl PreExecEngine for PhelpsEngine {
         match inst.kind {
             SideKind::PredProducer { .. } => {
                 q.deposit(inst.pc, info.taken);
-                tlm::count(tlm::Counter::PredDeposits);
             }
             SideKind::HeaderBranch => {
                 q.deposit(inst.pc, info.taken);
-                tlm::count(tlm::Counter::PredDeposits);
                 if !info.taken {
                     // Inner loop will be visited: queue it with the
                     // outer-thread's current values for IT's OT live-ins.
@@ -739,13 +734,11 @@ impl PreExecEngine for PhelpsEngine {
                         .map(|&r| (r, self.side_regs[HT_A - 1][r.index()]))
                         .collect();
                     run.visitq.enqueue(Visit { live_ins });
-                    tlm::count(tlm::Counter::VisitEnqueues);
                     tlm::gauge(tlm::Gauge::VisitQueueDepth, run.visitq.len() as u64);
                 }
             }
             SideKind::LoopBranch => {
                 q.deposit(inst.pc, info.taken);
-                tlm::count(tlm::Counter::PredDeposits);
                 q.advance_tail();
                 tlm::gauge(
                     tlm::Gauge::PredQueueDepth,

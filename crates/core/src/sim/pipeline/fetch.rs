@@ -4,7 +4,6 @@
 use super::{exec_latency, lane_of, DynInst, InstMeta, Pipeline, PredFrom, SimContext, Stage};
 use crate::sim::types::{PreExecEngine, QueueLookup, HT_A, HT_B, MT};
 use phelps_isa::{ExecRecord, Inst};
-use phelps_telemetry as tlm;
 use phelps_uarch::bpred::DirectionPredictor;
 use phelps_uarch::mem::{AccessLevel, MemRequest};
 
@@ -34,7 +33,6 @@ impl<E: PreExecEngine> Pipeline<E> {
                     self.ctx.stats.mt_fetch_stall_mispredict += 1;
                 } else if t.ifetch_stall_until > now {
                     self.ctx.stats.mt_fetch_stall_ifetch += 1;
-                    tlm::count(tlm::Counter::IfetchStallCycles);
                 }
                 if t.waiting_mt_release {
                     self.ctx.stats.mt_fetch_stall_trigger += 1;
@@ -137,12 +135,10 @@ impl<E: PreExecEngine> Pipeline<E> {
                 match engine.queue_lookup(pc) {
                     QueueLookup::Hit(p) => {
                         self.ctx.stats.preds_from_queue += 1;
-                        tlm::count(tlm::Counter::PredConsumeHits);
                         return (p, PredFrom::Queue, default_pred);
                     }
                     QueueLookup::Untimely => {
                         self.ctx.stats.queue_untimely += 1;
-                        tlm::count(tlm::Counter::PredConsumeUntimely);
                         return (default_pred, PredFrom::Default, default_pred);
                     }
                     QueueLookup::NoRow => {}

@@ -6,7 +6,6 @@
 use super::{Pipeline, SimContext, Stage};
 use crate::sim::types::{PreExecEngine, MT};
 use phelps_isa::MemWidth;
-use phelps_telemetry as tlm;
 
 impl SimContext {
     /// The youngest older executed store to the same doubleword, if any.
@@ -84,7 +83,6 @@ impl<E: PreExecEngine> Pipeline<E> {
         };
         if let Some(load_seq) = victim {
             self.ctx.stats.load_violations += 1;
-            tlm::count(tlm::Counter::LoadViolations);
             if let Some(load) = self.ctx.insts.get(load_seq) {
                 self.ctx.violating_loads.insert(load.pc);
             }

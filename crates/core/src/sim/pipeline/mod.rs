@@ -578,18 +578,28 @@ impl<E: PreExecEngine> Pipeline<E> {
         self.ctx.hierarchy.swap_uncore(uncore);
     }
 
-    /// Closes out a stepped run: flushes hierarchy counters into the stat
-    /// bundle and assembles the [`SimResult`]. [`Pipeline::run`] ends
-    /// here; a co-run driver calls it on each core after interleaved
-    /// [`Pipeline::step_shared`] stepping.
-    pub fn finalize(mut self) -> SimResult {
+    /// Closes out a core stepped with [`Pipeline::step_shared`] (the
+    /// co-run driver's [`Pipeline::run`]): finalizes with the communal
+    /// `uncore` swapped in, so the result's shared-level counters (and
+    /// the last telemetry epoch) are this tenant's attributed share, read
+    /// the same way as every snapshot taken while it stepped.
+    pub fn finalize_shared(mut self, uncore: &mut Uncore) -> SimResult {
+        self.ctx.hierarchy.swap_uncore(uncore);
+        let result = self.finalize();
+        self.ctx.hierarchy.swap_uncore(uncore);
+        result
+    }
+
+    /// Closes out a finished run: takes the final counter snapshot,
+    /// harvests the thread's telemetry registry (if any) with it and
+    /// assembles the [`SimResult`].
+    fn finalize(&mut self) -> SimResult {
         assert!(
             self.ctx.finished,
             "simulation did not converge within {} cycles (deadlock?)",
             self.cycle_bound()
         );
-        self.flush_mem_stats();
-        self.ctx.stats.cycles = self.ctx.cycle;
+        self.ctx.stats = self.ctx.snapshot();
         self.ctx.breakdown.retired = self.ctx.stats.mt_retired;
         let retire_log = self.ctx.retire_log.take();
         let final_state = retire_log.is_some().then(|| {
@@ -599,9 +609,9 @@ impl<E: PreExecEngine> Pipeline<E> {
             })
         });
         SimResult {
-            stats: self.ctx.stats,
-            breakdown: self.ctx.breakdown,
-            telemetry: tlm::harvest(),
+            telemetry: tlm::harvest(&self.ctx.stats),
+            stats: self.ctx.stats.clone(),
+            breakdown: self.ctx.breakdown.clone(),
             retire_log,
             final_state,
         }
@@ -610,7 +620,6 @@ impl<E: PreExecEngine> Pipeline<E> {
     fn step_cycle(&mut self) {
         self.ctx.cycle += 1;
         if tlm::enabled() {
-            tlm::tick(self.ctx.cycle);
             let t = &self.ctx.threads[MT];
             tlm::gauge(tlm::Gauge::RobOccupancy, t.rob.len() as u64);
             tlm::gauge(tlm::Gauge::LsqOccupancy, u64::from(t.lq_used + t.sq_used));
@@ -632,11 +641,6 @@ impl<E: PreExecEngine> Pipeline<E> {
         }
         #[cfg(feature = "debug-invariants")]
         self.ctx.check_invariants();
-    }
-
-    /// Memory hierarchy statistics flush into the stat bundle.
-    pub fn flush_mem_stats(&mut self) {
-        self.ctx.flush_mem_stats();
     }
 }
 
@@ -885,25 +889,32 @@ impl SimContext {
         }
     }
 
-    fn flush_mem_stats(&mut self) {
+    /// The run's counters at this instant, as the finished run reports
+    /// them: the stages' own counts plus the memory hierarchy's
+    /// and the cycle count. The telemetry epochs are differences of
+    /// these snapshots, so they sum to the finished run's stats.
+    fn snapshot(&self) -> SimStats {
+        let mut s = self.stats.clone();
         let (acc, miss, pf_hits) = self.hierarchy.l1d_stats();
-        self.stats.l1d_accesses = acc;
-        self.stats.l1d_misses = miss;
+        s.l1d_accesses = acc;
+        s.l1d_misses = miss;
         let (st_acc, st_miss) = self.hierarchy.l1d_store_stats();
-        self.stats.l1d_store_accesses = st_acc;
-        self.stats.l1d_store_misses = st_miss;
-        self.stats.prefetch_hits = pf_hits;
+        s.l1d_store_accesses = st_acc;
+        s.l1d_store_misses = st_miss;
+        s.prefetch_hits = pf_hits;
         let (i_acc, i_miss) = self.hierarchy.l1i_stats();
-        self.stats.l1i_accesses = i_acc;
-        self.stats.l1i_misses = i_miss;
-        self.stats.l2_misses = self.hierarchy.l2_misses();
-        self.stats.l3_misses = self.hierarchy.l3_misses();
-        self.stats.prefetches_issued = self.hierarchy.prefetches_issued();
+        s.l1i_accesses = i_acc;
+        s.l1i_misses = i_miss;
+        s.l2_misses = self.hierarchy.l2_misses();
+        s.l3_misses = self.hierarchy.l3_misses();
+        s.prefetches_issued = self.hierarchy.prefetches_issued();
         let (l1i_p, l1d_p, l2_p, l3_p, dram_p) = self.hierarchy.port_stalls();
-        self.stats.l1i_port_stalls = l1i_p;
-        self.stats.l1d_port_stalls = l1d_p;
-        self.stats.l2_port_stalls = l2_p;
-        self.stats.l3_port_stalls = l3_p;
-        self.stats.dram_queue_stalls = dram_p;
+        s.l1i_port_stalls = l1i_p;
+        s.l1d_port_stalls = l1d_p;
+        s.l2_port_stalls = l2_p;
+        s.l3_port_stalls = l3_p;
+        s.dram_queue_stalls = dram_p;
+        s.cycles = self.cycle;
+        s
     }
 }

@@ -68,7 +68,7 @@ impl<E: PreExecEngine> Pipeline<E> {
             log.push(rec);
         }
         self.ctx.stats.mt_retired += 1;
-        tlm::count(tlm::Counter::MtRetired);
+        tlm::retired(|| self.ctx.snapshot());
 
         // Timing-architectural state.
         if let Some(dst) = rec.inst.dst() {
@@ -87,13 +87,11 @@ impl<E: PreExecEngine> Pipeline<E> {
         let mut default_wrong = false;
         if di.is_cond_branch() {
             self.ctx.stats.mt_cond_branches += 1;
-            tlm::count(tlm::Counter::MtCondBranches);
             let predicted = di.predicted.unwrap_or(rec.taken);
             self.ctx.bpred.update(rec.pc, rec.taken, predicted);
             default_wrong = di.default_pred.unwrap_or(rec.taken) != rec.taken;
             if di.mispredicted {
                 self.ctx.stats.mt_mispredicts += 1;
-                tlm::count(tlm::Counter::MtMispredicts);
                 tlm::event(tlm::EventKind::Mispredict, self.ctx.cycle, rec.pc, 0);
                 if di.pred_from == PredFrom::Queue {
                     self.ctx.stats.mispredicts_from_queue += 1;

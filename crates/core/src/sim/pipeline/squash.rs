@@ -17,7 +17,6 @@ impl<E: PreExecEngine> Pipeline<E> {
         if cut == self.ctx.threads[MT].rob.len() {
             return;
         }
-        tlm::count(tlm::Counter::MtSquashes);
         // Roll back engine consumption to the youngest surviving branch's
         // checkpoint (or to head).
         if let Some(engine) = self.engine.as_mut() {
@@ -77,7 +76,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             return;
         }
         self.ctx.stats.triggers += 1;
-        tlm::count(tlm::Counter::Triggers);
         tlm::event(tlm::EventKind::Trigger, self.ctx.cycle, pc, 0);
         self.ctx.trigger_cycle = self.ctx.cycle;
         self.ctx.preexec_active = true;
@@ -104,7 +102,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             return;
         }
         self.ctx.stats.terminations += 1;
-        tlm::count(tlm::Counter::Terminations);
         tlm::event(tlm::EventKind::Terminate, self.ctx.cycle, pc, 0);
         tlm::hist(
             tlm::Hist::TriggerSpanCycles,

@@ -4,11 +4,8 @@
 //! *configuration knobs*:
 //!
 //! * Slots `0..TELEMETRY_SLOTS` summarize the behaviour of the cell's
-//!   **anchor** — the baseline run of the same workload/region — and are
-//!   computable two ways: from a finished run's [`SimStats`]
-//!   ([`anchor_slots_from_stats`]) or from a *prefix* of its per-epoch
-//!   telemetry series ([`anchor_slots_from_epoch_rows`]), so a short
-//!   probe run can stand in for a full measurement.
+//!   **anchor** — the baseline run of the same workload/region — from
+//!   its finished run's [`SimStats`] ([`anchor_slots_from_stats`]).
 //! * Slots `TELEMETRY_SLOTS..FEATURE_DIM` are parsed out of the cell's
 //!   cache key — the `Debug` rendering of its full `RunConfig` (plus the
 //!   Branch Runahead variant suffix when present). The key is the same
@@ -20,12 +17,10 @@
 //! retired, missing knobs) produce `0.0`, never `NaN`/`inf`, which the
 //! model layer relies on.
 
-use phelps_telemetry::EPOCH_FEATURES;
 use phelps_uarch::stats::SimStats;
 
-/// Anchor-telemetry slots; matches
-/// [`phelps_telemetry::EPOCH_FEATURES`] column-for-column.
-pub const TELEMETRY_SLOTS: usize = EPOCH_FEATURES;
+/// Anchor-telemetry slots: the first six names of [`FEATURE_NAMES`].
+pub const TELEMETRY_SLOTS: usize = 6;
 
 /// Configuration-knob slots parsed from the cache key.
 pub const CONFIG_SLOTS: usize = 13;
@@ -33,9 +28,7 @@ pub const CONFIG_SLOTS: usize = 13;
 /// Total feature-vector width.
 pub const FEATURE_DIM: usize = TELEMETRY_SLOTS + CONFIG_SLOTS;
 
-/// Feature names, index-aligned with the vectors this module produces
-/// (the first [`TELEMETRY_SLOTS`] mirror
-/// [`phelps_telemetry::EPOCH_FEATURE_NAMES`] with an `anchor_` prefix).
+/// Feature names, index-aligned with the vectors this module produces.
 pub const FEATURE_NAMES: [&str; FEATURE_DIM] = [
     "anchor_ipc",
     "anchor_mpki",
@@ -74,8 +67,10 @@ fn per_kilo(num: u64, retired: u64) -> f64 {
     }
 }
 
-/// Anchor slots from a finished run's whole-run counters. Column order
-/// matches [`phelps_telemetry::EPOCH_FEATURE_NAMES`].
+/// Anchor slots from a finished run's whole-run counters: IPC, MPKI,
+/// triggers and timely queue hits per kilo-instruction, L3 misses per
+/// kilo-instruction, and the fraction of cycles fetch stalled on L1-I
+/// misses.
 pub fn anchor_slots_from_stats(s: &SimStats) -> [f64; TELEMETRY_SLOTS] {
     [
         s.ipc(),
@@ -85,35 +80,6 @@ pub fn anchor_slots_from_stats(s: &SimStats) -> [f64; TELEMETRY_SLOTS] {
         per_kilo(s.l3_misses, s.mt_retired),
         ratio(s.mt_fetch_stall_ifetch, s.cycles),
     ]
-}
-
-/// Anchor slots from a *prefix* of a per-epoch feature series
-/// (`Report::epoch_feature_rows`): the unweighted mean of the first
-/// `prefix` rows (`0` means all rows). An empty series yields all
-/// zeros. This is the probe-run path: simulate a short window, average
-/// its epochs, and predict the full run.
-pub fn anchor_slots_from_epoch_rows(
-    rows: &[[f64; EPOCH_FEATURES]],
-    prefix: usize,
-) -> [f64; TELEMETRY_SLOTS] {
-    let take = if prefix == 0 {
-        rows.len()
-    } else {
-        prefix.min(rows.len())
-    };
-    let mut out = [0.0; TELEMETRY_SLOTS];
-    if take == 0 {
-        return out;
-    }
-    for row in &rows[..take] {
-        for (slot, v) in out.iter_mut().zip(row.iter()) {
-            *slot += v;
-        }
-    }
-    for slot in &mut out {
-        *slot /= take as f64;
-    }
-    out
 }
 
 /// First integer following `tag` in `key`, if any.
@@ -203,22 +169,6 @@ mod tests {
         assert!((f[3] - 15.0).abs() < 1e-12);
         assert!((f[4] - 4.0).abs() < 1e-12);
         assert!((f[5] - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn epoch_prefix_is_mean_of_first_rows() {
-        let rows = vec![
-            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-            [3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
-            [100.0, 100.0, 100.0, 100.0, 100.0, 100.0],
-        ];
-        let f = anchor_slots_from_epoch_rows(&rows, 2);
-        assert_eq!(f, [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-        assert_eq!(
-            anchor_slots_from_epoch_rows(&rows, 0),
-            anchor_slots_from_epoch_rows(&rows, 3)
-        );
-        assert_eq!(anchor_slots_from_epoch_rows(&[], 4), [0.0; TELEMETRY_SLOTS]);
     }
 
     #[test]

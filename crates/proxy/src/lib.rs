@@ -15,8 +15,7 @@
 //! 1. [`dataset`] scans `results/cache/`, groups cells into anchor
 //!    groups, and emits labelled examples;
 //! 2. [`features`] turns anchor telemetry + a cache key into a
-//!    fixed-width vector (prefix-window epoch features let a short
-//!    probe run stand in for a full anchor measurement);
+//!    fixed-width vector;
 //! 3. [`model`] fits the seeded, deterministic ridge + boosted-stump
 //!    ensemble and serializes it as versioned JSON with exact
 //!    bit-pattern floats under `results/proxy/`.
@@ -31,8 +30,8 @@ pub mod model;
 
 pub use dataset::{build_examples, scan, BuildSummary, CachedCell, Example};
 pub use features::{
-    anchor_slots_from_epoch_rows, anchor_slots_from_stats, config_slots, feature_vector,
-    CONFIG_SLOTS, FEATURE_DIM, FEATURE_NAMES, TELEMETRY_SLOTS,
+    anchor_slots_from_stats, config_slots, feature_vector, CONFIG_SLOTS, FEATURE_DIM,
+    FEATURE_NAMES, TELEMETRY_SLOTS,
 };
 pub use model::{Prediction, ProxyModel, MIN_EXAMPLES, MODEL_SCHEMA};
 

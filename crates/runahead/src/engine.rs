@@ -28,7 +28,6 @@ use phelps::sim::{
     HT_A,
 };
 use phelps_isa::{ExecRecord, Inst, Reg, NUM_REGS};
-use phelps_telemetry as tlm;
 use phelps_uarch::bpred::{Bimodal, DirectionPredictor};
 use phelps_uarch::config::ActiveThreads;
 use std::collections::HashMap;
@@ -280,7 +279,6 @@ impl BrEngine {
     /// the replay after recovery falls back to the default predictor
     /// instead of re-consuming the same wrong value.
     fn rollback_group(&mut self, pc: u64) {
-        tlm::count(tlm::Counter::ChainRollbacks);
         let Some(run) = self.active.as_mut() else {
             return;
         };
@@ -634,7 +632,6 @@ impl PreExecEngine for BrEngine {
                     if should_deposit {
                         if let Some((_, q)) = run.queues.iter_mut().find(|(p, _)| *p == pc) {
                             q.deposit(iter, info.taken);
-                            tlm::count(tlm::Counter::ChainDeposits);
                         }
                     }
                     let _ = was_speculated;
@@ -670,7 +667,6 @@ impl PreExecEngine for BrEngine {
                                         run.queues.iter_mut().find(|(p, _)| *p == child_pc)
                                     {
                                         q.deposit(iter, outcome);
-                                        tlm::count(tlm::Counter::ChainDeposits);
                                     }
                                     if let Some(r) = run.iter_recs.get_mut(&(iter, child_pc)) {
                                         r.deposited = true;
@@ -687,7 +683,6 @@ impl PreExecEngine for BrEngine {
                     if !guarded || info.enabled {
                         if let Some((_, q)) = run.queues.iter_mut().find(|(p, _)| *p == pc) {
                             q.deposit(iter, info.taken);
-                            tlm::count(tlm::Counter::ChainDeposits);
                         }
                     }
                 }

@@ -128,7 +128,7 @@ impl Client {
                     replay,
                     sample,
                 } if rid == id => {
-                    outcome.epochs.push((replay, sample));
+                    outcome.epochs.push((replay, *sample));
                 }
                 Response::Result {
                     id: rid,

@@ -146,8 +146,9 @@ pub enum Response {
         /// `true` when replayed from a backlog (late subscriber),
         /// `false` when delivered live from the running simulation.
         replay: bool,
-        /// The sample itself.
-        sample: EpochSample,
+        /// The sample itself (boxed like `Result`'s payload: its
+        /// `SimStats` delta would otherwise size every frame).
+        sample: Box<EpochSample>,
     },
     /// The job's final result; last frame for `id`.
     Result {
@@ -279,70 +280,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// The epoch-sample wire fields, in emission order. Kept in one place
-/// so the encoder, the decoder, and the golden tests agree.
-const SAMPLE_U64_FIELDS: [&str; 8] = [
-    "epoch",
-    "end_cycle",
-    "cycles",
-    "retired",
-    "mispredicts",
-    "triggers",
-    "pred_hits",
-    "dram_accesses",
-];
-
-fn sample_u64(s: &EpochSample, key: &str) -> u64 {
-    match key {
-        "epoch" => s.epoch,
-        "end_cycle" => s.end_cycle,
-        "cycles" => s.cycles,
-        "retired" => s.retired,
-        "mispredicts" => s.mispredicts,
-        "triggers" => s.triggers,
-        "pred_hits" => s.pred_hits,
-        "dram_accesses" => s.dram_accesses,
-        _ => unreachable!("unknown sample field {key}"),
-    }
-}
-
-fn encode_sample(j: &mut JsonWriter, s: &EpochSample) {
-    for key in SAMPLE_U64_FIELDS {
-        j.key(key);
-        j.uint(sample_u64(s, key));
-    }
-    j.key("ifetch_stalls");
-    j.uint(s.ifetch_stalls);
-    j.key("ipc");
-    j.float(s.ipc);
-    j.key("mpki");
-    j.float(s.mpki);
-    j.key("avg_rob");
-    j.float(s.avg_rob);
-    j.key("avg_pred_queue");
-    j.float(s.avg_pred_queue);
-}
-
-fn sample_from_json(v: &JsonValue) -> Option<EpochSample> {
-    let u = |k: &str| v.get(k).and_then(JsonValue::as_u64);
-    let f = |k: &str| v.get(k).and_then(JsonValue::as_f64);
-    Some(EpochSample {
-        epoch: u("epoch")?,
-        end_cycle: u("end_cycle")?,
-        cycles: u("cycles")?,
-        retired: u("retired")?,
-        ipc: f("ipc")?,
-        mispredicts: u("mispredicts")?,
-        mpki: f("mpki")?,
-        triggers: u("triggers")?,
-        pred_hits: u("pred_hits")?,
-        dram_accesses: u("dram_accesses")?,
-        ifetch_stalls: u("ifetch_stalls")?,
-        avg_rob: f("avg_rob")?,
-        avg_pred_queue: f("avg_pred_queue")?,
-    })
-}
-
 /// Encodes one response as a single JSON line (no trailing newline).
 pub fn encode_response(resp: &Response) -> String {
     let mut j = JsonWriter::new();
@@ -376,7 +313,7 @@ pub fn encode_response(resp: &Response) -> String {
             j.string(id);
             j.key("replay");
             j.bool(*replay);
-            encode_sample(&mut j, sample);
+            sample.write_fields(&mut j);
         }
         Response::Result { id, dedup, result } => {
             j.string("result");
@@ -447,7 +384,9 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         "epoch" => Ok(Response::Epoch {
             id: id()?,
             replay: matches!(v.get("replay"), Some(JsonValue::Bool(true))),
-            sample: sample_from_json(&v).ok_or("epoch: bad or missing sample fields")?,
+            sample: Box::new(
+                EpochSample::from_json(&v).ok_or("epoch: bad or missing sample fields")?,
+            ),
         }),
         "result" => Ok(Response::Result {
             id: id()?,

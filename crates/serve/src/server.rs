@@ -58,6 +58,12 @@ use std::time::Duration;
 /// How often blocked reads re-check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
+/// Most telemetry epochs (⌈region / epoch⌉) one submission may ask for.
+/// Every sample is kept in the job backlog, the registry's report and
+/// session memory, so an unbounded ratio would let one line pin millions
+/// of them; the defaults ask for 14.
+pub const MAX_EPOCHS_PER_JOB: u64 = 10_000;
+
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -455,6 +461,19 @@ fn handle_submit(shared: &Arc<Shared>, sub: Submit, tx: &mpsc::Sender<String>) {
     }
     let region = sub.region.unwrap_or_else(phelps_bench::region_len).max(1);
     let epoch = sub.epoch.unwrap_or_else(phelps_bench::epoch_len).max(1);
+    let epochs = region.div_ceil(epoch);
+    if epochs > MAX_EPOCHS_PER_JOB {
+        reject(
+            shared,
+            tx,
+            &sub.id,
+            format!(
+                "region {region} / epoch {epoch} asks for {epochs} epochs \
+                 (at most {MAX_EPOCHS_PER_JOB})"
+            ),
+        );
+        return;
+    }
     let run_cfg = RunConfig::quick(mode, region, epoch);
     // The shard decomposition is part of the result's identity (an
     // N-shard run is a sampling approximation of the monolithic run),
@@ -492,7 +511,7 @@ fn handle_submit(shared: &Arc<Shared>, sub: Submit, tx: &mpsc::Sender<String>) {
                 send(&Response::Epoch {
                     id: sub.id.clone(),
                     replay: true,
-                    sample: sample.clone(),
+                    sample: Box::new(sample.clone()),
                 });
             }
             send(&Response::Result {
@@ -510,7 +529,7 @@ fn handle_submit(shared: &Arc<Shared>, sub: Submit, tx: &mpsc::Sender<String>) {
                 send(&Response::Epoch {
                     id: sub.id.clone(),
                     replay: true,
-                    sample: sample.clone(),
+                    sample: Box::new(sample.clone()),
                 });
             }
             subs.push(Sub {
@@ -687,7 +706,7 @@ fn broadcast_epoch(shared: &Shared, fingerprint: &str, sample: &tlm::EpochSample
             let _ = sub.tx.send(encode_response(&Response::Epoch {
                 id: sub.id.clone(),
                 replay: false,
-                sample: sample.clone(),
+                sample: Box::new(sample.clone()),
             }));
         }
     }

@@ -259,6 +259,41 @@ fn malformed_frames_are_rejected_and_the_connection_survives() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A submission whose region/epoch ratio asks for more than
+/// `MAX_EPOCHS_PER_JOB` epochs is refused with an error frame before it
+/// queues; the connection and the next submission are unaffected.
+#[test]
+fn oversized_epoch_count_is_rejected_before_queueing() {
+    let dir = scratch("epoch-bound");
+    let handle = daemon(1, 4, &dir);
+    let mut cl = client(&handle);
+    let flood = cl
+        .submit(cell("flood", "bfs", "baseline", 2_000_000, 1))
+        .expect("submit");
+    let reason = flood.error.expect("too many epochs rejects");
+    assert!(
+        reason.contains("epochs"),
+        "reason names the bound: {reason}"
+    );
+    assert!(flood.result.is_none() && flood.epochs.is_empty());
+    let limit = server::MAX_EPOCHS_PER_JOB;
+    let edge = cl
+        .submit(cell("edge", "bfs", "baseline", limit + 1, 1))
+        .expect("submit");
+    assert!(edge.error.is_some(), "⌈region/epoch⌉ = limit + 1 rejects");
+
+    let ok = cl
+        .submit(cell("after", "bfs", "baseline", 4_000, 2_000))
+        .expect("the connection survives");
+    assert!(ok.error.is_none() && ok.result.is_some());
+    let stats = cl.stats().unwrap();
+    assert_eq!((stats.accepted, stats.simulated), (1, 1));
+    assert_eq!(stats.malformed, 2);
+    drop(cl);
+    shutdown(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A client that vanishes mid-stream costs nothing but its own copy:
 /// the job completes, the result lands in the shared on-disk cache, and
 /// a later client gets it without a second simulation.
@@ -399,10 +434,13 @@ fn corun_submissions_simulate_against_a_neighbor() {
         corun_result.stats.cycles,
         solo_result.stats.cycles
     );
-    assert!(
-        !corun.epochs.is_empty(),
-        "co-run jobs stream telemetry epochs like any other cell"
-    );
+    // The streamed epochs describe the primary tenant alone: their
+    // deltas sum, counter by counter, to the result frame's stats.
+    let mut sum = phelps_uarch::stats::SimStats::default();
+    for (_, e) in &corun.epochs {
+        sum.merge(&e.stats);
+    }
+    assert_eq!(sum, corun_result.stats);
 
     // Identical resubmission replays from session memory.
     corun_cell.id = "pair-2".to_string();

@@ -1,8 +1,10 @@
 //! Wire-protocol coverage: golden frame encodings, round-trips through
-//! the real encoder/decoder pair, and malformed-frame rejection.
+//! the real encoder/decoder pair, malformed-frame rejection, and a
+//! mutation sweep over every golden frame and one result-cache body.
 
 use phelps::classify::{MispredictBreakdown, MispredictClass};
 use phelps::sim::SimResult;
+use phelps_bench::runner::cache;
 use phelps_serve::protocol::{
     encode_request, encode_response, parse_mode, parse_request, parse_response, Dedup, Request,
     Response, ServerStats, Submit,
@@ -14,15 +16,16 @@ fn sample() -> EpochSample {
     EpochSample {
         epoch: 3,
         end_cycle: 40_000,
-        cycles: 10_000,
-        retired: 8_000,
-        ipc: 0.8,
-        mispredicts: 90,
-        mpki: 11.25,
-        triggers: 7,
-        pred_hits: 5,
-        dram_accesses: 42,
-        ifetch_stalls: 120,
+        stats: SimStats {
+            cycles: 10_000,
+            mt_retired: 8_000,
+            mt_mispredicts: 90,
+            triggers: 7,
+            preds_from_queue: 5,
+            l3_misses: 42,
+            mt_fetch_stall_ifetch: 120,
+            ..SimStats::default()
+        },
         avg_rob: 96.5,
         avg_pred_queue: 3.25,
     }
@@ -48,35 +51,94 @@ fn result() -> SimResult {
     }
 }
 
+/// Every request frame pinned byte for byte.
+fn golden_requests() -> Vec<(Request, &'static str)> {
+    vec![
+        (
+            Request::Submit(Submit {
+                id: "job-1".to_string(),
+                workload: "bfs".to_string(),
+                mode: "phelps".to_string(),
+                region: Some(20_000),
+                epoch: Some(2_000),
+                corun: None,
+            }),
+            r#"{"type":"submit","id":"job-1","workload":"bfs","mode":"phelps","region":20000,"epoch":2000}"#,
+        ),
+        (
+            Request::Submit(Submit {
+                id: "job-2".to_string(),
+                workload: "bfs".to_string(),
+                mode: "phelps".to_string(),
+                region: Some(20_000),
+                epoch: Some(2_000),
+                corun: Some("bfs_uniform".to_string()),
+            }),
+            r#"{"type":"submit","id":"job-2","workload":"bfs","mode":"phelps","region":20000,"epoch":2000,"corun":"bfs_uniform"}"#,
+        ),
+        (Request::Ping, r#"{"type":"ping"}"#),
+        (Request::Stats, r#"{"type":"stats"}"#),
+        (Request::Shutdown, r#"{"type":"shutdown"}"#),
+    ]
+}
+
+fn server_stats() -> ServerStats {
+    ServerStats {
+        accepted: 4,
+        simulated: 4,
+        dedup_in_flight: 5,
+        session_hits: 7,
+        disk_hits: 1,
+        busy_rejections: 2,
+        malformed: 3,
+        queue_depth: 1,
+        in_flight: 2,
+    }
+}
+
+/// The response frames pinned byte for byte. The epoch frame carries
+/// the sample's counter deltas as the `SimStats` object the result cache
+/// also writes.
+fn golden_responses() -> Vec<(Response, &'static str)> {
+    vec![
+        (
+            Response::Stats(server_stats()),
+            r#"{"type":"stats","accepted":4,"simulated":4,"dedup_in_flight":5,"session_hits":7,"disk_hits":1,"busy_rejections":2,"malformed":3,"queue_depth":1,"in_flight":2}"#,
+        ),
+        (
+            Response::Epoch {
+                id: "e".to_string(),
+                replay: false,
+                sample: Box::new(sample()),
+            },
+            concat!(
+                r#"{"type":"epoch","id":"e","replay":false,"epoch":3,"end_cycle":40000,"stats":{"#,
+                r#""cycles":10000,"mt_retired":8000,"ht_retired":0,"mt_cond_branches":0,"#,
+                r#""mt_mispredicts":90,"mispredicts_from_queue":0,"preds_from_queue":5,"#,
+                r#""queue_untimely":0,"load_violations":0,"triggers":7,"terminations":0,"#,
+                r#""l1i_accesses":0,"l1i_misses":0,"l1d_accesses":0,"l1d_misses":0,"#,
+                r#""l1d_store_accesses":0,"l1d_store_misses":0,"l2_misses":0,"l3_misses":42,"#,
+                r#""prefetches_issued":0,"prefetch_hits":0,"mt_fetch_stall_mispredict":0,"#,
+                r#""mt_fetch_stall_trigger":0,"mt_fetch_stall_ifetch":120,"l1i_port_stalls":0,"#,
+                r#""l1d_port_stalls":0,"l2_port_stalls":0,"l3_port_stalls":0,"#,
+                r#""dram_queue_stalls":0},"avg_rob":96.500000,"avg_pred_queue":3.250000}"#
+            ),
+        ),
+    ]
+}
+
 #[test]
 fn golden_request_encodings() {
-    let submit = Request::Submit(Submit {
-        id: "job-1".to_string(),
-        workload: "bfs".to_string(),
-        mode: "phelps".to_string(),
-        region: Some(20_000),
-        epoch: Some(2_000),
-        corun: None,
-    });
-    assert_eq!(
-        encode_request(&submit),
-        r#"{"type":"submit","id":"job-1","workload":"bfs","mode":"phelps","region":20000,"epoch":2000}"#
-    );
-    let corun = Request::Submit(Submit {
-        id: "job-2".to_string(),
-        workload: "bfs".to_string(),
-        mode: "phelps".to_string(),
-        region: Some(20_000),
-        epoch: Some(2_000),
-        corun: Some("bfs_uniform".to_string()),
-    });
-    assert_eq!(
-        encode_request(&corun),
-        r#"{"type":"submit","id":"job-2","workload":"bfs","mode":"phelps","region":20000,"epoch":2000,"corun":"bfs_uniform"}"#
-    );
-    assert_eq!(encode_request(&Request::Ping), r#"{"type":"ping"}"#);
-    assert_eq!(encode_request(&Request::Stats), r#"{"type":"stats"}"#);
-    assert_eq!(encode_request(&Request::Shutdown), r#"{"type":"shutdown"}"#);
+    for (req, golden) in golden_requests() {
+        assert_eq!(encode_request(&req), golden);
+    }
+}
+
+#[test]
+fn golden_response_encodings() {
+    for (resp, golden) in golden_responses() {
+        assert_eq!(encode_response(&resp), golden);
+    }
 }
 
 #[test]
@@ -113,7 +175,7 @@ fn epoch_response_round_trips() {
     let resp = Response::Epoch {
         id: "e".to_string(),
         replay: true,
-        sample: sample(),
+        sample: Box::new(sample()),
     };
     let line = encode_response(&resp);
     match parse_response(&line).unwrap() {
@@ -124,7 +186,7 @@ fn epoch_response_round_trips() {
         } => {
             assert_eq!(id, "e");
             assert!(replay);
-            assert_eq!(s, sample());
+            assert_eq!(*s, sample());
         }
         other => panic!("expected epoch, got {other:?}"),
     }
@@ -153,23 +215,34 @@ fn result_response_round_trips_via_cache_body() {
     }
 }
 
+/// Every other response frame the tests encode.
+fn control_responses() -> Vec<Response> {
+    vec![
+        Response::Accepted {
+            id: "a".to_string(),
+            fingerprint: "fp|x|v0".to_string(),
+        },
+        Response::Busy {
+            id: "b".to_string(),
+            retry_after_ms: 150,
+        },
+        Response::Error {
+            id: String::new(),
+            reason: "nope".to_string(),
+        },
+        Response::Pong,
+        Response::ShutdownAck,
+        Response::Result {
+            id: "r".to_string(),
+            dedup: Dedup::Session,
+            result: Box::new(result()),
+        },
+    ]
+}
+
 #[test]
 fn control_responses_round_trip() {
-    let stats = ServerStats {
-        accepted: 4,
-        simulated: 4,
-        dedup_in_flight: 5,
-        session_hits: 7,
-        disk_hits: 1,
-        busy_rejections: 2,
-        malformed: 3,
-        queue_depth: 1,
-        in_flight: 2,
-    };
-    assert_eq!(
-        encode_response(&Response::Stats(stats)),
-        r#"{"type":"stats","accepted":4,"simulated":4,"dedup_in_flight":5,"session_hits":7,"disk_hits":1,"busy_rejections":2,"malformed":3,"queue_depth":1,"in_flight":2}"#
-    );
+    let stats = server_stats();
     for (line, check) in [
         (
             encode_response(&Response::Accepted {
@@ -270,4 +343,76 @@ fn predicted_result_frame_is_rejected() {
     assert!(line.contains(r#""dedup":"predicted""#));
     let err = parse_response(&line).unwrap_err();
     assert!(err.contains("unknown dedup label"), "{err}");
+}
+
+/// Every prefix of `frame`, then every single-byte flip of it under
+/// four masks (low bit, ASCII case bit, high bit, all bits).
+fn mutations(frame: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let prefixes = (0..frame.len()).map(|n| frame[..n].to_vec());
+    let flips = (0..frame.len()).flat_map(move |i| {
+        [0x01u8, 0x20, 0x80, 0xff].into_iter().map(move |mask| {
+            let mut f = frame.to_vec();
+            f[i] ^= mask;
+            f
+        })
+    });
+    prefixes.chain(flips)
+}
+
+/// Decoders of untrusted bytes never panic: each mutated golden frame
+/// decodes to an error or to a value that re-encodes to a frame decoding
+/// to the same value. Non-UTF-8 bytes never reach the decoders (the
+/// frame reader rejects them), so they are decoded lossily here.
+#[test]
+fn mutated_frames_decode_to_an_error_or_a_value() {
+    let mut decoded = 0;
+    for (_, golden) in golden_requests() {
+        for m in mutations(golden.as_bytes()) {
+            if let Ok(req) = parse_request(&String::from_utf8_lossy(&m)) {
+                assert_eq!(parse_request(&encode_request(&req)), Ok(req));
+                decoded += 1;
+            }
+        }
+    }
+    let responses = golden_responses()
+        .into_iter()
+        .map(|(resp, _)| resp)
+        .chain(control_responses());
+    for resp in responses {
+        let golden = encode_response(&resp);
+        for m in mutations(golden.as_bytes()) {
+            if let Ok(resp) = parse_response(&String::from_utf8_lossy(&m)) {
+                let again = parse_response(&encode_response(&resp)).expect("re-encoded frame");
+                assert_eq!(format!("{again:?}"), format!("{resp:?}"));
+                decoded += 1;
+            }
+        }
+    }
+    assert!(decoded > 0, "some flips (digits, id letters) still decode");
+}
+
+/// The result cache treats every mutated body as a miss or a valid
+/// result, never a panic.
+#[test]
+fn mutated_cache_bodies_load_as_a_miss_or_a_result() {
+    let dir = std::env::temp_dir().join(format!("phelps-protocol-sweep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fingerprint = "serve|bfs|phelps|sweep";
+    cache::store(&dir, fingerprint, &result());
+    let path = cache::cell_path(&dir, fingerprint);
+    let golden = std::fs::read(&path).unwrap();
+    assert!(
+        cache::load(&dir, fingerprint).is_some(),
+        "the stored body loads"
+    );
+    let (mut hits, mut misses) = (0, 0);
+    for m in mutations(&golden) {
+        std::fs::write(&path, &m).unwrap();
+        match cache::load(&dir, fingerprint) {
+            Some(_) => hits += 1,
+            None => misses += 1,
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
 }

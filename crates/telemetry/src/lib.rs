@@ -1,31 +1,40 @@
-//! Run telemetry for the Phelps simulator: typed counters, occupancy
-//! gauges, log2 latency histograms, a bounded event ring, and per-epoch
-//! time-series samples, exported as hand-rolled JSON or CSV.
+//! Run telemetry for the Phelps simulator: per-epoch samples of the
+//! simulator's counter table ([`SimStats`]), occupancy gauges, log2
+//! latency histograms and a bounded event ring, exported as hand-rolled
+//! JSON or CSV.
 //!
 //! # Model
 //!
-//! A [`Registry`] is installed per thread with [`install`]; every record
-//! call ([`count`], [`add`], [`gauge`], [`event`], [`hist`], [`tick`])
-//! is a free function that consults a thread-local `enabled` flag first
-//! and returns immediately when no registry is installed. Simulation
-//! code therefore carries no telemetry handles and pays one predictable
-//! branch per call site when tracing is off.
+//! There is one counter table, [`SimStats`], and the simulator owns it;
+//! the registry never counts on its own. A [`Registry`] is installed per
+//! thread with [`install`]; every record call ([`retired`], [`gauge`],
+//! [`event`], [`hist`]) is a free function that consults a thread-local
+//! `enabled` flag first and returns immediately when no registry is
+//! installed. Simulation code therefore carries no telemetry handles and
+//! pays one predictable branch per call site when tracing is off.
 //!
 //! The thread-local design also gives per-test isolation: `cargo test`
 //! runs tests on separate threads, so concurrent simulations never share
-//! a registry.
+//! a registry. A driver that steps a second simulation on the same
+//! thread keeps it out of the registry with [`muted`].
 //!
-//! When the simulated run completes, the owner calls [`harvest`] to take
-//! the finished [`Report`], which serializes with [`Report::to_json`]
-//! (single object) or [`Report::epochs_csv`] (per-epoch series).
+//! When the simulated run completes, the owner calls [`harvest`] with
+//! the run's final counters to take the finished [`Report`], which
+//! serializes with [`Report::to_json`] (single object) or
+//! [`Report::epochs_csv`] (per-epoch series).
 //!
 //! # Epochs
 //!
-//! The registry closes an epoch every `epoch_len` retired main-thread
-//! instructions (tracked through [`Counter::MtRetired`]), snapshotting
-//! counter deltas and gauge averages into an [`EpochSample`]. This gives
-//! IPC/MPKI time series aligned with the helper-thread epoch machinery
-//! of the simulator, whose epochs are likewise retirement-counted.
+//! The simulator calls [`retired`] once per retired main-thread
+//! instruction. Every `epoch_len`-th call closes an epoch: the registry
+//! asks for a snapshot of the counters and stores the change since the
+//! previous close, plus the epoch's gauge averages, as an
+//! [`EpochSample`]. [`harvest`] closes a trailing epoch with whatever
+//! the final counters add beyond the last close, so the epoch deltas sum
+//! field by field to the run's `SimStats`. This gives IPC/MPKI (and every
+//! other counter's) time series aligned with the helper-thread epoch
+//! machinery of the simulator, whose epochs are likewise
+//! retirement-counted.
 //!
 //! # Event volume
 //!
@@ -38,202 +47,14 @@
 
 mod json;
 mod report;
+mod stats;
 
 pub use json::{parse as parse_json, JsonValue, JsonWriter};
-pub use report::{
-    EpochSample, EventRecord, GaugeSummary, HistSummary, Report, EPOCH_FEATURES,
-    EPOCH_FEATURE_NAMES,
-};
+pub use report::{EpochSample, EventRecord, GaugeSummary, HistSummary, Report};
+pub use stats::SimStats;
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
-
-/// Monotonic counters, indexed densely by discriminant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum Counter {
-    /// Main-thread instructions retired.
-    MtRetired,
-    /// Main-thread conditional branches retired.
-    MtCondBranches,
-    /// Main-thread conditional branch mispredicts.
-    MtMispredicts,
-    /// Main-thread pipeline squashes (any cause).
-    MtSquashes,
-    /// Load-store ordering violations detected at retire.
-    LoadViolations,
-    /// Helper-thread pre-execution triggers.
-    Triggers,
-    /// Helper-thread pre-execution terminations.
-    Terminations,
-    /// Predictions deposited into the prediction queues.
-    PredDeposits,
-    /// Prediction-queue lookups that supplied a timely prediction.
-    PredConsumeHits,
-    /// Prediction-queue lookups that found an untimely (late) entry.
-    PredConsumeUntimely,
-    /// Loop visits enqueued for the helper thread.
-    VisitEnqueues,
-    /// Loop visits dequeued by the helper thread.
-    VisitDequeues,
-    /// Helper-thread code (HTC) installs at epoch end.
-    HtcInstalls,
-    /// Pre-execution epochs ended.
-    EpochsEnded,
-    /// Branch-chain deposits by the runahead engine.
-    ChainDeposits,
-    /// Branch-chain rollbacks on wrong helper-thread outcomes.
-    ChainRollbacks,
-    /// L1-D misses.
-    L1dMisses,
-    /// L2 misses.
-    L2Misses,
-    /// L3 misses.
-    L3Misses,
-    /// DRAM accesses.
-    DramAccesses,
-    /// Loads merged into an in-flight MSHR.
-    MshrMerges,
-    /// Retries forced by MSHR exhaustion.
-    MshrFullRetries,
-    /// Stores retired into the memory hierarchy.
-    StoresRetired,
-    /// Direction-predictor updates.
-    BpredUpdates,
-    /// Direction-predictor wrong updates.
-    BpredWrong,
-    /// L1-I instruction-fetch misses.
-    L1iMisses,
-    /// Main-thread fetch cycles stalled on an in-flight L1-I miss.
-    IfetchStallCycles,
-    /// Cycles of admission delay imposed by the L1-I port.
-    L1iPortStalls,
-    /// Cycles of admission delay imposed by the L1-D port.
-    L1dPortStalls,
-    /// Cycles of admission delay imposed by the L2 port.
-    L2PortStalls,
-    /// Cycles of admission delay imposed by the L3 port.
-    L3PortStalls,
-    /// Cycles of admission delay imposed by the DRAM queue.
-    DramQueueStalls,
-    /// Shared (L2+L3) port admission delay charged to tenant 0. In a
-    /// solo run this equals `L2PortStalls + L3PortStalls`; in a co-run
-    /// the T0/T1 split attributes uncore contention per tenant.
-    SharedPortStallsT0,
-    /// Shared (L2+L3) port admission delay charged to tenant 1.
-    SharedPortStallsT1,
-    /// DRAM-queue admission delay charged to tenant 0.
-    DramQueueStallsT0,
-    /// DRAM-queue admission delay charged to tenant 1.
-    DramQueueStallsT1,
-}
-
-impl Counter {
-    /// Number of counter kinds (array size).
-    pub const COUNT: usize = 36;
-
-    /// All counters, in discriminant order.
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::MtRetired,
-        Counter::MtCondBranches,
-        Counter::MtMispredicts,
-        Counter::MtSquashes,
-        Counter::LoadViolations,
-        Counter::Triggers,
-        Counter::Terminations,
-        Counter::PredDeposits,
-        Counter::PredConsumeHits,
-        Counter::PredConsumeUntimely,
-        Counter::VisitEnqueues,
-        Counter::VisitDequeues,
-        Counter::HtcInstalls,
-        Counter::EpochsEnded,
-        Counter::ChainDeposits,
-        Counter::ChainRollbacks,
-        Counter::L1dMisses,
-        Counter::L2Misses,
-        Counter::L3Misses,
-        Counter::DramAccesses,
-        Counter::MshrMerges,
-        Counter::MshrFullRetries,
-        Counter::StoresRetired,
-        Counter::BpredUpdates,
-        Counter::BpredWrong,
-        Counter::L1iMisses,
-        Counter::IfetchStallCycles,
-        Counter::L1iPortStalls,
-        Counter::L1dPortStalls,
-        Counter::L2PortStalls,
-        Counter::L3PortStalls,
-        Counter::DramQueueStalls,
-        Counter::SharedPortStallsT0,
-        Counter::SharedPortStallsT1,
-        Counter::DramQueueStallsT0,
-        Counter::DramQueueStallsT1,
-    ];
-
-    /// How this counter combines when two shards' reports merge (see
-    /// [`Report::merge`]).
-    pub fn merge_kind(self) -> MergeKind {
-        // Every current counter is a monotonic event/cycle total, so they
-        // all sum. A future high-water-mark counter ("peak X") must
-        // declare `MergeKind::Max` here — storing a peak in a summing
-        // counter would silently break shard merging.
-        MergeKind::Sum
-    }
-
-    /// Stable snake_case identifier used in exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::MtRetired => "mt_retired",
-            Counter::MtCondBranches => "mt_cond_branches",
-            Counter::MtMispredicts => "mt_mispredicts",
-            Counter::MtSquashes => "mt_squashes",
-            Counter::LoadViolations => "load_violations",
-            Counter::Triggers => "triggers",
-            Counter::Terminations => "terminations",
-            Counter::PredDeposits => "pred_deposits",
-            Counter::PredConsumeHits => "pred_consume_hits",
-            Counter::PredConsumeUntimely => "pred_consume_untimely",
-            Counter::VisitEnqueues => "visit_enqueues",
-            Counter::VisitDequeues => "visit_dequeues",
-            Counter::HtcInstalls => "htc_installs",
-            Counter::EpochsEnded => "epochs_ended",
-            Counter::ChainDeposits => "chain_deposits",
-            Counter::ChainRollbacks => "chain_rollbacks",
-            Counter::L1dMisses => "l1d_misses",
-            Counter::L2Misses => "l2_misses",
-            Counter::L3Misses => "l3_misses",
-            Counter::DramAccesses => "dram_accesses",
-            Counter::MshrMerges => "mshr_merges",
-            Counter::MshrFullRetries => "mshr_full_retries",
-            Counter::StoresRetired => "stores_retired",
-            Counter::BpredUpdates => "bpred_updates",
-            Counter::BpredWrong => "bpred_wrong",
-            Counter::L1iMisses => "l1i_misses",
-            Counter::IfetchStallCycles => "ifetch_stall_cycles",
-            Counter::L1iPortStalls => "l1i_port_stalls",
-            Counter::L1dPortStalls => "l1d_port_stalls",
-            Counter::L2PortStalls => "l2_port_stalls",
-            Counter::L3PortStalls => "l3_port_stalls",
-            Counter::DramQueueStalls => "dram_queue_stalls",
-            Counter::SharedPortStallsT0 => "shared_port_stalls_t0",
-            Counter::SharedPortStallsT1 => "shared_port_stalls_t1",
-            Counter::DramQueueStallsT0 => "dram_queue_stalls_t0",
-            Counter::DramQueueStallsT1 => "dram_queue_stalls_t1",
-        }
-    }
-}
-
-/// How one aggregate combines across shard reports in
-/// [`Report::merge`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MergeKind {
-    /// Totals add (event and cycle counts).
-    Sum,
-    /// The larger value wins (peaks / high-water marks).
-    Max,
-}
 
 /// Occupancy gauges, sampled once per simulated cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -351,12 +172,12 @@ pub const HIST_BUCKETS: usize = 65;
 /// A live subscription to epoch samples: the callback runs on the
 /// simulating thread, synchronously, the moment each epoch closes —
 /// before the sample is appended to the report. This is how long-running
-/// consumers (the `phelps-serve` daemon) stream IPC/MPKI series to
+/// consumers (the `phelps-serve` daemon) stream epoch series to
 /// clients while the simulation is still in flight instead of waiting
 /// for the export-at-end [`Report`].
 ///
-/// The callback MUST NOT call any telemetry record function ([`count`],
-/// [`gauge`], ...) — it runs while the thread's registry is borrowed,
+/// The callback MUST NOT call any telemetry record function
+/// ([`retired`], [`gauge`], ...) — it runs while the thread's registry is borrowed,
 /// and re-entry would panic. Keep it to channel sends or lock-free
 /// bookkeeping.
 #[derive(Clone)]
@@ -437,7 +258,6 @@ impl GaugeAccum {
 #[derive(Debug)]
 pub struct Registry {
     cfg: Config,
-    counters: [u64; Counter::COUNT],
     gauges: [GaugeAccum; Gauge::COUNT],
     epoch_gauges: [GaugeAccum; Gauge::COUNT],
     hists: [[u64; HIST_BUCKETS]; Hist::COUNT],
@@ -445,10 +265,10 @@ pub struct Registry {
     events: Vec<EventRecord>,
     events_dropped: u64,
     epochs: Vec<EpochSample>,
-    // Epoch bookkeeping.
-    cur_cycle: u64,
-    epoch_start_cycle: u64,
-    epoch_mark: [u64; Counter::COUNT],
+    /// The counters at the last epoch close; the next sample is the
+    /// change from here.
+    epoch_mark: SimStats,
+    /// Main-thread instructions retired since the last epoch close.
     epoch_retired: u64,
 }
 
@@ -457,7 +277,6 @@ impl Registry {
     pub fn new(cfg: Config) -> Registry {
         Registry {
             cfg,
-            counters: [0; Counter::COUNT],
             gauges: [GaugeAccum::default(); Gauge::COUNT],
             epoch_gauges: [GaugeAccum::default(); Gauge::COUNT],
             hists: [[0; HIST_BUCKETS]; Hist::COUNT],
@@ -465,26 +284,19 @@ impl Registry {
             events: Vec::new(),
             events_dropped: 0,
             epochs: Vec::new(),
-            cur_cycle: 0,
-            epoch_start_cycle: 0,
-            epoch_mark: [0; Counter::COUNT],
+            epoch_mark: SimStats::default(),
             epoch_retired: 0,
         }
     }
 
-    fn add(&mut self, c: Counter, n: u64) {
-        self.counters[c as usize] += n;
-        if c == Counter::MtRetired && self.cfg.epoch_len > 0 {
-            self.epoch_retired += n;
-            while self.epoch_retired >= self.cfg.epoch_len {
-                self.epoch_retired -= self.cfg.epoch_len;
-                self.close_epoch();
-            }
+    fn retired(&mut self, snapshot: impl FnOnce() -> SimStats) {
+        if self.cfg.epoch_len == 0 {
+            return;
         }
-    }
-
-    fn tick(&mut self, cycle: u64) {
-        self.cur_cycle = cycle;
+        self.epoch_retired += 1;
+        if self.epoch_retired >= self.cfg.epoch_len {
+            self.close_epoch(snapshot());
+        }
     }
 
     fn gauge(&mut self, g: Gauge, v: u64) {
@@ -520,37 +332,13 @@ impl Registry {
         }
     }
 
-    fn delta(&self, c: Counter) -> u64 {
-        self.counters[c as usize] - self.epoch_mark[c as usize]
-    }
-
-    fn close_epoch(&mut self) {
+    /// Closes the current epoch at the counters `now`.
+    fn close_epoch(&mut self, now: SimStats) {
         let epoch = self.epochs.len() as u64;
-        let cycles = self.cur_cycle.saturating_sub(self.epoch_start_cycle);
-        let retired = self.delta(Counter::MtRetired);
-        let mispredicts = self.delta(Counter::MtMispredicts);
-        let ipc = if cycles == 0 {
-            0.0
-        } else {
-            retired as f64 / cycles as f64
-        };
-        let mpki = if retired == 0 {
-            0.0
-        } else {
-            mispredicts as f64 * 1000.0 / retired as f64
-        };
         let sample = EpochSample {
             epoch,
-            end_cycle: self.cur_cycle,
-            cycles,
-            retired,
-            ipc,
-            mispredicts,
-            mpki,
-            triggers: self.delta(Counter::Triggers),
-            pred_hits: self.delta(Counter::PredConsumeHits),
-            dram_accesses: self.delta(Counter::DramAccesses),
-            ifetch_stalls: self.delta(Counter::IfetchStallCycles),
+            end_cycle: now.cycles,
+            stats: now.since(&self.epoch_mark),
             avg_rob: self.epoch_gauges[Gauge::RobOccupancy as usize].avg(),
             avg_pred_queue: self.epoch_gauges[Gauge::PredQueueDepth as usize].avg(),
         };
@@ -558,25 +346,27 @@ impl Registry {
             sink.emit(&sample);
         }
         self.epochs.push(sample);
-        self.event(EventKind::EpochEnd, self.cur_cycle, 0, epoch);
-        self.epoch_mark = self.counters;
-        self.epoch_start_cycle = self.cur_cycle;
+        self.event(EventKind::EpochEnd, now.cycles, 0, epoch);
+        self.epoch_mark = now;
+        self.epoch_retired = 0;
         self.epoch_gauges = [GaugeAccum::default(); Gauge::COUNT];
     }
 
-    /// Finalizes the registry into an immutable [`Report`]. A trailing
-    /// partial epoch (at least one retired instruction) is flushed so
-    /// the series covers the whole run.
-    pub fn into_report(mut self) -> Report {
-        if self.cfg.epoch_len > 0 && self.delta(Counter::MtRetired) > 0 {
-            self.close_epoch();
+    /// Finalizes the registry into an immutable [`Report`] for a run
+    /// whose final counters are `end`. When `end` differs from the last
+    /// epoch close, a trailing epoch holds the difference, so the epoch
+    /// deltas sum to `end` (a run that stops exactly on an epoch boundary
+    /// still adds a trailing epoch for the counters its last instruction
+    /// moved after the close).
+    pub fn into_report(mut self, end: &SimStats) -> Report {
+        if self.cfg.epoch_len > 0 && *end != self.epoch_mark {
+            self.close_epoch(end.clone());
         }
         Report {
             label: self.cfg.label.clone(),
             epoch_len: self.cfg.epoch_len,
             verbose: self.cfg.verbose,
-            final_cycle: self.cur_cycle,
-            counters: self.counters,
+            final_cycle: end.cycles,
             gauges: Gauge::ALL.map(|g| GaugeSummary {
                 sum: self.gauges[g as usize].sum,
                 max: self.gauges[g as usize].max,
@@ -608,12 +398,13 @@ pub fn install(cfg: Config) {
 }
 
 /// Takes the installed registry, disabling telemetry for this thread,
-/// and returns its finalized report. `None` when nothing is installed.
-pub fn harvest() -> Option<Box<Report>> {
+/// and returns its report for a run that ended at the counters `end`
+/// (see [`Registry::into_report`]). `None` when nothing is installed.
+pub fn harvest(end: &SimStats) -> Option<Box<Report>> {
     ENABLED.with(|e| e.set(false));
     REGISTRY
         .with(|r| r.borrow_mut().take())
-        .map(|reg| Box::new(reg.into_report()))
+        .map(|reg| Box::new(reg.into_report(end)))
 }
 
 /// Whether telemetry is currently installed on this thread. This is the
@@ -621,6 +412,17 @@ pub fn harvest() -> Option<Box<Report>> {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.with(|e| e.get())
+}
+
+/// Runs `f` with every record function switched off on this thread,
+/// then restores the previous state. A driver that steps two
+/// simulations on one thread (the co-run pair) steps the second this
+/// way, so the installed registry describes the first alone.
+pub fn muted<R>(f: impl FnOnce() -> R) -> R {
+    let was = ENABLED.with(|e| e.replace(false));
+    let out = f();
+    ENABLED.with(|e| e.set(was));
+    out
 }
 
 fn with_registry(f: impl FnOnce(&mut Registry)) {
@@ -631,29 +433,17 @@ fn with_registry(f: impl FnOnce(&mut Registry)) {
     });
 }
 
-/// Increments `c` by one.
+/// Counts one retired main-thread instruction. Every
+/// [`Config::epoch_len`]-th call closes an epoch at the counters
+/// `snapshot` returns, which must be the run's [`SimStats`] as the
+/// finished run would report them at this instant. `snapshot` is only
+/// called when an epoch closes, and must not call back into telemetry.
 #[inline]
-pub fn count(c: Counter) {
-    add(c, 1);
-}
-
-/// Increments `c` by `n`.
-#[inline]
-pub fn add(c: Counter, n: u64) {
+pub fn retired(snapshot: impl FnOnce() -> SimStats) {
     if !enabled() {
         return;
     }
-    with_registry(|r| r.add(c, n));
-}
-
-/// Advances the registry's notion of the current cycle. Call once per
-/// simulated cycle so epoch samples get correct cycle spans.
-#[inline]
-pub fn tick(cycle: u64) {
-    if !enabled() {
-        return;
-    }
-    with_registry(|r| r.tick(cycle));
+    with_registry(|r| r.retired(snapshot));
 }
 
 /// Records one occupancy sample for `g`.
@@ -689,35 +479,47 @@ mod tests {
     use super::*;
 
     fn drain() {
-        let _ = harvest();
+        let _ = harvest(&SimStats::default());
+    }
+
+    /// Drives `n` retirements, one per cycle from cycle 1, keeping `s`
+    /// as the simulator's running counters; every fifth instruction
+    /// mispredicts.
+    fn retire_n(s: &mut SimStats, n: u64) {
+        for _ in 0..n {
+            s.cycles += 1;
+            gauge(Gauge::RobOccupancy, 8);
+            s.mt_retired += 1;
+            if s.mt_retired.is_multiple_of(5) {
+                s.mt_mispredicts += 1;
+            }
+            retired(|| s.clone());
+        }
     }
 
     #[test]
     fn disabled_is_inert() {
         drain();
         assert!(!enabled());
-        count(Counter::MtRetired);
+        retired(|| unreachable!("no registry, no snapshot"));
         gauge(Gauge::RobOccupancy, 10);
         event(EventKind::Trigger, 1, 2, 3);
-        assert!(harvest().is_none());
+        assert!(harvest(&SimStats::default()).is_none());
     }
 
     #[test]
-    fn counters_and_events_round_trip() {
+    fn events_round_trip() {
         drain();
         install(Config {
             epoch_len: 0,
             ..Config::default()
         });
         assert!(enabled());
-        add(Counter::MtRetired, 5);
-        count(Counter::Triggers);
         event(EventKind::Trigger, 100, 0x400, 0);
         event(EventKind::Mispredict, 101, 0x404, 0); // verbose: dropped
-        let rep = harvest().expect("installed");
+        let rep = harvest(&SimStats::default()).expect("installed");
         assert!(!enabled());
-        assert_eq!(rep.counter(Counter::MtRetired), 5);
-        assert_eq!(rep.counter(Counter::Triggers), 1);
+        assert!(rep.epochs.is_empty(), "epoch_len 0 records no series");
         assert_eq!(rep.events.len(), 1);
         assert_eq!(rep.events[0].kind, EventKind::Trigger);
         assert_eq!(rep.events[0].pc, 0x400);
@@ -732,7 +534,7 @@ mod tests {
             ..Config::default()
         });
         event(EventKind::Mispredict, 7, 0x8, 0);
-        let rep = harvest().unwrap();
+        let rep = harvest(&SimStats::default()).unwrap();
         assert_eq!(rep.events.len(), 1);
     }
 
@@ -747,7 +549,7 @@ mod tests {
         for i in 0..10 {
             event(EventKind::Trigger, i, 0, 0);
         }
-        let rep = harvest().unwrap();
+        let rep = harvest(&SimStats::default()).unwrap();
         assert_eq!(rep.events.len(), 4);
         assert_eq!(rep.events_dropped, 6);
     }
@@ -759,49 +561,74 @@ mod tests {
             epoch_len: 10,
             ..Config::default()
         });
-        for cycle in 0..50u64 {
-            tick(cycle);
-            gauge(Gauge::RobOccupancy, 8);
-            count(Counter::MtRetired); // 1 IPC exactly
-            if cycle % 5 == 0 {
-                count(Counter::MtMispredicts);
-            }
-        }
-        let rep = harvest().unwrap();
-        assert_eq!(rep.counter(Counter::MtRetired), 50);
-        // 50 retired / epoch_len 10 = 5 full epochs, no partial flush.
+        let mut s = SimStats::default();
+        retire_n(&mut s, 50);
+        let rep = harvest(&s).unwrap();
+        // 50 retired / epoch_len 10 = 5 full epochs; the final counters
+        // equal the last close, so no trailing epoch.
         assert_eq!(rep.epochs.len(), 5);
-        for e in &rep.epochs[1..] {
-            assert_eq!(e.retired, 10);
-            assert_eq!(e.cycles, 10);
-            assert!((e.ipc - 1.0).abs() < 1e-9, "ipc {}", e.ipc);
-            assert_eq!(e.mispredicts, 2);
-            assert!((e.mpki - 200.0).abs() < 1e-9);
+        for e in &rep.epochs {
+            assert_eq!(e.stats.mt_retired, 10);
+            assert_eq!(e.stats.cycles, 10);
+            assert!((e.ipc() - 1.0).abs() < 1e-9, "ipc {}", e.ipc());
+            assert_eq!(e.stats.mt_mispredicts, 2);
+            assert!((e.mpki() - 200.0).abs() < 1e-9);
             assert!((e.avg_rob - 8.0).abs() < 1e-9);
         }
+        assert_eq!(rep.epochs[4].end_cycle, 50);
+        assert_eq!(rep.final_cycle, 50);
         // One EpochEnd event per epoch.
-        let ends = rep
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::EpochEnd)
-            .count();
-        assert_eq!(ends, 5);
+        assert_eq!(rep.event_count(EventKind::EpochEnd), 5);
     }
 
     #[test]
-    fn partial_final_epoch_is_flushed() {
+    fn trailing_epoch_holds_the_rest_of_the_run() {
         drain();
         install(Config {
             epoch_len: 10,
             ..Config::default()
         });
-        for cycle in 0..13u64 {
-            tick(cycle);
-            count(Counter::MtRetired);
-        }
-        let rep = harvest().unwrap();
+        let mut s = SimStats::default();
+        retire_n(&mut s, 13);
+        let rep = harvest(&s).unwrap();
         assert_eq!(rep.epochs.len(), 2);
-        assert_eq!(rep.epochs[1].retired, 3);
+        assert_eq!(rep.epochs[1].stats.mt_retired, 3);
+
+        // A run that stops on a boundary still flushes what moved after
+        // the close (here: the last instruction's store traffic).
+        install(Config {
+            epoch_len: 10,
+            ..Config::default()
+        });
+        let mut s = SimStats::default();
+        retire_n(&mut s, 10);
+        s.l1d_store_accesses += 1;
+        let rep = harvest(&s).unwrap();
+        assert_eq!(rep.epochs.len(), 2);
+        let tail = &rep.epochs[1].stats;
+        assert_eq!((tail.mt_retired, tail.l1d_store_accesses), (0, 1));
+        let mut sum = SimStats::default();
+        for e in &rep.epochs {
+            sum.merge(&e.stats);
+        }
+        assert_eq!(sum, s, "epoch deltas partition the run");
+    }
+
+    #[test]
+    fn muted_records_nothing_and_restores() {
+        drain();
+        install(Config {
+            epoch_len: 1,
+            ..Config::default()
+        });
+        muted(|| {
+            assert!(!enabled());
+            retired(|| unreachable!("muted: no epoch closes"));
+            event(EventKind::Trigger, 1, 0, 0);
+        });
+        assert!(enabled());
+        let rep = harvest(&SimStats::default()).unwrap();
+        assert!(rep.epochs.is_empty() && rep.events.is_empty());
     }
 
     #[test]
@@ -817,7 +644,7 @@ mod tests {
         hist(Hist::MissLatency, 3); // bucket 2
         hist(Hist::MissLatency, 1024); // bucket 11
         hist(Hist::MissLatency, u64::MAX); // bucket 64
-        let rep = harvest().unwrap();
+        let rep = harvest(&SimStats::default()).unwrap();
         let h = &rep.hists[Hist::MissLatency as usize];
         assert_eq!(h.buckets[0], 1);
         assert_eq!(h.buckets[1], 1);
@@ -841,15 +668,12 @@ mod tests {
             })),
             ..Config::default()
         });
-        for cycle in 0..25u64 {
-            tick(cycle);
-            count(Counter::MtRetired);
-            // The sink must observe epochs as they close, not at harvest.
-            if cycle == 12 {
-                assert_eq!(seen.lock().unwrap().len(), 1, "first epoch streamed live");
-            }
-        }
-        let rep = harvest().unwrap();
+        let mut s = SimStats::default();
+        retire_n(&mut s, 12);
+        // The sink must observe epochs as they close, not at harvest.
+        assert_eq!(seen.lock().unwrap().len(), 1, "first epoch streamed live");
+        retire_n(&mut s, 13);
+        let rep = harvest(&s).unwrap();
         // 2 full epochs + 1 flushed partial, all streamed, same contents.
         assert_eq!(rep.epochs.len(), 3);
         assert_eq!(*seen.lock().unwrap(), rep.epochs);
@@ -859,17 +683,14 @@ mod tests {
     fn reinstall_discards_previous() {
         drain();
         install(Config::default());
-        count(Counter::Triggers);
+        event(EventKind::Trigger, 1, 0, 0);
         install(Config::default());
-        let rep = harvest().unwrap();
-        assert_eq!(rep.counter(Counter::Triggers), 0);
+        let rep = harvest(&SimStats::default()).unwrap();
+        assert!(rep.events.is_empty());
     }
 
     #[test]
     fn enum_tables_are_consistent() {
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            assert_eq!(*c as usize, i, "counter {} out of order", c.name());
-        }
         for (i, g) in Gauge::ALL.iter().enumerate() {
             assert_eq!(*g as usize, i, "gauge {} out of order", g.name());
         }

@@ -1,7 +1,7 @@
 //! Finalized telemetry reports and their JSON/CSV serializations.
 
-use crate::json::JsonWriter;
-use crate::{Counter, EventKind, Gauge, Hist, MergeKind};
+use crate::json::{JsonValue, JsonWriter};
+use crate::{EventKind, Gauge, Hist, SimStats};
 
 /// One recorded event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -17,35 +17,62 @@ pub struct EventRecord {
 }
 
 /// Per-epoch time-series sample; epochs close every
-/// [`crate::Config::epoch_len`] retired main-thread instructions.
+/// [`crate::Config::epoch_len`] retired main-thread instructions, and a
+/// run's samples sum field by field to its [`SimStats`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct EpochSample {
     /// Epoch index, from 0.
     pub epoch: u64,
     /// Cycle at which the epoch closed.
     pub end_cycle: u64,
-    /// Cycles spanned by the epoch.
-    pub cycles: u64,
-    /// Main-thread instructions retired in the epoch.
-    pub retired: u64,
-    /// Instructions per cycle over the epoch.
-    pub ipc: f64,
-    /// Conditional mispredicts in the epoch.
-    pub mispredicts: u64,
-    /// Mispredicts per kilo-instruction over the epoch.
-    pub mpki: f64,
-    /// Pre-execution triggers in the epoch.
-    pub triggers: u64,
-    /// Timely prediction-queue hits in the epoch.
-    pub pred_hits: u64,
-    /// DRAM accesses in the epoch.
-    pub dram_accesses: u64,
-    /// Fetch cycles stalled on an in-flight L1-I miss in the epoch.
-    pub ifetch_stalls: u64,
+    /// What every counter added over the epoch (`stats.cycles` is the
+    /// epoch's span, `stats.mt_retired` its retired instructions).
+    pub stats: SimStats,
     /// Mean ROB occupancy over the epoch's cycles.
     pub avg_rob: f64,
     /// Mean prediction-queue depth over the epoch's cycles.
     pub avg_pred_queue: f64,
+}
+
+impl EpochSample {
+    /// Instructions per cycle over the epoch.
+    pub fn ipc(&self) -> f64 {
+        self.stats.ipc()
+    }
+
+    /// Mispredicts per kilo-instruction over the epoch.
+    pub fn mpki(&self) -> f64 {
+        self.stats.mpki()
+    }
+
+    /// Writes the sample's fields into the JSON object `w` has open:
+    /// `epoch`, `end_cycle`, `stats` (the [`SimStats::write_json`]
+    /// object) and the two gauge averages. The trace export and the serve
+    /// `epoch` frame share this encoding.
+    pub fn write_fields(&self, w: &mut JsonWriter) {
+        w.key("epoch");
+        w.uint(self.epoch);
+        w.key("end_cycle");
+        w.uint(self.end_cycle);
+        w.key("stats");
+        self.stats.write_json(w);
+        w.key("avg_rob");
+        w.float(self.avg_rob);
+        w.key("avg_pred_queue");
+        w.float(self.avg_pred_queue);
+    }
+
+    /// Reads the fields [`EpochSample::write_fields`] wrote from an
+    /// object; `None` when any is missing or mistyped.
+    pub fn from_json(v: &JsonValue) -> Option<EpochSample> {
+        Some(EpochSample {
+            epoch: v.get("epoch")?.as_u64()?,
+            end_cycle: v.get("end_cycle")?.as_u64()?,
+            stats: SimStats::from_json(v.get("stats")?)?,
+            avg_rob: v.get("avg_rob")?.as_f64()?,
+            avg_pred_queue: v.get("avg_pred_queue")?.as_f64()?,
+        })
+    }
 }
 
 /// Summary of one gauge over the whole run.
@@ -99,10 +126,8 @@ pub struct Report {
     pub epoch_len: u64,
     /// Whether verbose event kinds were recorded.
     pub verbose: bool,
-    /// Last cycle observed via `tick`.
+    /// The run's final cycle count.
     pub final_cycle: u64,
-    /// Counter totals, indexed by [`Counter`] discriminant.
-    pub counters: [u64; Counter::COUNT],
     /// Gauge summaries, indexed by [`Gauge`] discriminant.
     pub gauges: [GaugeSummary; Gauge::COUNT],
     /// Histogram summaries, indexed by [`Hist`] discriminant.
@@ -124,7 +149,6 @@ impl Default for Report {
             epoch_len: 0,
             verbose: false,
             final_cycle: 0,
-            counters: [0; Counter::COUNT],
             gauges: [GaugeSummary::default(); Gauge::COUNT],
             hists: std::array::from_fn(|_| HistSummary::default()),
             epochs: Vec::new(),
@@ -134,83 +158,12 @@ impl Default for Report {
     }
 }
 
-/// Number of per-epoch feature columns produced by
-/// [`Report::epoch_feature_rows`].
-pub const EPOCH_FEATURES: usize = 6;
-
-/// Column names of [`Report::epoch_feature_rows`], in order. The first
-/// six telemetry slots of the learned proxy's feature vector
-/// (`crates/proxy`) use the
-/// same definitions, so a prefix of the epoch series and a whole-run
-/// stats bundle feed the same model.
-pub const EPOCH_FEATURE_NAMES: [&str; EPOCH_FEATURES] = [
-    "ipc",
-    "mpki",
-    "triggers_pki",
-    "pred_hits_pki",
-    "mem_pki",
-    "ifetch_stall_frac",
-];
-
 impl Report {
-    /// Total for one counter.
-    pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c as usize]
-    }
-
-    /// The epoch series as fixed-width numeric feature rows (one row per
-    /// epoch, columns per [`EPOCH_FEATURE_NAMES`]): IPC, MPKI, triggers
-    /// and timely queue hits per kilo-instruction, memory (DRAM)
-    /// accesses per kilo-instruction, and the fraction of the epoch's
-    /// cycles fetch spent stalled on L1-I misses.
-    ///
-    /// Rates are recomputed from the epoch's raw counts (never taken
-    /// from the stored `ipc`/`mpki` fields), and every division is
-    /// guarded: an epoch with zero retired instructions or zero cycles
-    /// contributes 0.0 in the affected columns instead of NaN/inf, so a
-    /// feature extractor can consume any report — including partial or
-    /// degenerate runs — without dividing by zero.
-    pub fn epoch_feature_rows(&self) -> Vec<[f64; EPOCH_FEATURES]> {
-        self.epochs
-            .iter()
-            .map(|e| {
-                let per_kilo = |n: u64| {
-                    if e.retired == 0 {
-                        0.0
-                    } else {
-                        1000.0 * n as f64 / e.retired as f64
-                    }
-                };
-                let ipc = if e.cycles == 0 {
-                    0.0
-                } else {
-                    e.retired as f64 / e.cycles as f64
-                };
-                let stall_frac = if e.cycles == 0 {
-                    0.0
-                } else {
-                    e.ifetch_stalls as f64 / e.cycles as f64
-                };
-                [
-                    ipc,
-                    per_kilo(e.mispredicts),
-                    per_kilo(e.triggers),
-                    per_kilo(e.pred_hits),
-                    per_kilo(e.dram_accesses),
-                    stall_frac,
-                ]
-            })
-            .collect()
-    }
-
     /// Folds a later shard's report into this one, stitching two runs
     /// whose cycle clocks both start at zero into one logical run.
     ///
     /// Per-aggregate semantics:
     ///
-    /// * **counters** combine by [`Counter::merge_kind`] — a saturating
-    ///   sum for every current kind; a future high-water-mark counter
-    ///   would declare [`MergeKind::Max`];
     /// * **gauges** — `sum` and `samples` add, `max` takes the larger,
     ///   so the read-time [`GaugeSummary::avg`] is the exact sample mean
     ///   over both runs;
@@ -219,7 +172,9 @@ impl Report {
     /// * the **epoch series** splices: `other`'s epochs are appended
     ///   with indices renumbered to their position in the combined
     ///   series and `end_cycle` re-based by this report's
-    ///   `final_cycle`, recovering one continuous timeline;
+    ///   `final_cycle`, recovering one continuous timeline (each sample's
+    ///   `stats` delta is unchanged, so the merged series still sums to
+    ///   the merged [`SimStats`]);
     /// * **events** interleave by re-based cycle (stable: on equal
     ///   cycles this report's events come first). *Capacity policy:*
     ///   the ring bound applies per run while recording; the merge
@@ -230,8 +185,8 @@ impl Report {
     ///   and an empty label adopts `other`'s.
     ///
     /// The merge is associative with `Report::default()` as identity,
-    /// and commutative for every unordered aggregate (counters, gauges,
-    /// histograms, `final_cycle`, `events_dropped`). The epoch and
+    /// and commutative for every unordered aggregate (gauges, histograms,
+    /// `final_cycle`, `events_dropped`). The epoch and
     /// event series are order-defined splices, so shards must fold in
     /// shard order for byte-identical series. These laws are pinned by
     /// `tests/prop_report_merge.rs`.
@@ -241,13 +196,6 @@ impl Report {
         }
         self.epoch_len = self.epoch_len.max(other.epoch_len);
         self.verbose |= other.verbose;
-        for c in Counter::ALL {
-            let i = c as usize;
-            self.counters[i] = match c.merge_kind() {
-                MergeKind::Sum => self.counters[i].saturating_add(other.counters[i]),
-                MergeKind::Max => self.counters[i].max(other.counters[i]),
-            };
-        }
         for i in 0..Gauge::COUNT {
             let b = &other.gauges[i];
             let a = &mut self.gauges[i];
@@ -322,14 +270,6 @@ impl Report {
         w.key("final_cycle");
         w.uint(self.final_cycle);
 
-        w.key("counters");
-        w.begin_object();
-        for c in Counter::ALL {
-            w.key(c.name());
-            w.uint(self.counter(c));
-        }
-        w.end_object();
-
         w.key("gauges");
         w.begin_object();
         for g in Gauge::ALL {
@@ -379,32 +319,7 @@ impl Report {
         w.begin_array();
         for e in &self.epochs {
             w.begin_object();
-            w.key("epoch");
-            w.uint(e.epoch);
-            w.key("end_cycle");
-            w.uint(e.end_cycle);
-            w.key("cycles");
-            w.uint(e.cycles);
-            w.key("retired");
-            w.uint(e.retired);
-            w.key("ipc");
-            w.float(e.ipc);
-            w.key("mispredicts");
-            w.uint(e.mispredicts);
-            w.key("mpki");
-            w.float(e.mpki);
-            w.key("triggers");
-            w.uint(e.triggers);
-            w.key("pred_hits");
-            w.uint(e.pred_hits);
-            w.key("dram_accesses");
-            w.uint(e.dram_accesses);
-            w.key("ifetch_stalls");
-            w.uint(e.ifetch_stalls);
-            w.key("avg_rob");
-            w.float(e.avg_rob);
-            w.key("avg_pred_queue");
-            w.float(e.avg_pred_queue);
+            e.write_fields(&mut w);
             w.end_object();
         }
         w.end_array();
@@ -430,29 +345,20 @@ impl Report {
         w.finish()
     }
 
-    /// Serializes the per-epoch series as CSV with a header row.
+    /// Serializes the per-epoch series as CSV with a header row:
+    /// `epoch`, `end_cycle`, one column per [`SimStats::NAMES`] counter
+    /// (the epoch's delta), then the two gauge averages.
     pub fn epochs_csv(&self) -> String {
-        let mut out = String::from(
-            "epoch,end_cycle,cycles,retired,ipc,mispredicts,mpki,\
-             triggers,pred_hits,dram_accesses,ifetch_stalls,avg_rob,avg_pred_queue\n",
+        let mut out = format!(
+            "epoch,end_cycle,{},avg_rob,avg_pred_queue\n",
+            SimStats::NAMES.join(",")
         );
         for e in &self.epochs {
-            out.push_str(&format!(
-                "{},{},{},{},{:.6},{},{:.6},{},{},{},{},{:.3},{:.3}\n",
-                e.epoch,
-                e.end_cycle,
-                e.cycles,
-                e.retired,
-                e.ipc,
-                e.mispredicts,
-                e.mpki,
-                e.triggers,
-                e.pred_hits,
-                e.dram_accesses,
-                e.ifetch_stalls,
-                e.avg_rob,
-                e.avg_pred_queue,
-            ));
+            out.push_str(&format!("{},{}", e.epoch, e.end_cycle));
+            for v in e.stats.to_array() {
+                out.push_str(&format!(",{v}"));
+            }
+            out.push_str(&format!(",{:.3},{:.3}\n", e.avg_rob, e.avg_pred_queue));
         }
         out
     }
@@ -469,17 +375,18 @@ mod tests {
             label: "unit \"quoted\" label".to_string(),
             ..Config::default()
         });
-        let reg_ref = &mut reg;
         // Drive the registry directly (not via thread-local) so this
         // test is independent of install/harvest state.
-        for cycle in 0..10u64 {
-            reg_ref.tick(cycle);
-            reg_ref.gauge(Gauge::RobOccupancy, cycle);
-            reg_ref.add(Counter::MtRetired, 1);
+        let mut s = SimStats::default();
+        for cycle in 1..=10u64 {
+            s.cycles = cycle;
+            s.mt_retired += 1;
+            reg.gauge(Gauge::RobOccupancy, cycle);
+            reg.retired(|| s.clone());
         }
-        reg_ref.hist(Hist::MissLatency, 200);
-        reg_ref.event(EventKind::Trigger, 3, 0x4000_0000, 0);
-        reg.into_report()
+        reg.hist(Hist::MissLatency, 200);
+        reg.event(EventKind::Trigger, 3, 0x4000_0000, 0);
+        reg.into_report(&s)
     }
 
     #[test]
@@ -487,42 +394,34 @@ mod tests {
         let rep = sample_report();
         let text = rep.to_json();
         let v = parse_json(&text).expect("report JSON must parse");
-        let obj = match v {
-            JsonValue::Object(o) => o,
-            other => panic!("expected object, got {other:?}"),
-        };
-        let get = |k: &str| {
-            obj.iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v)
-                .unwrap_or_else(|| panic!("missing key {k}"))
-        };
         assert_eq!(
-            get("label"),
-            &JsonValue::String("unit \"quoted\" label".into())
+            v.get("label"),
+            Some(&JsonValue::String("unit \"quoted\" label".into()))
         );
-        assert_eq!(get("epoch_len"), &JsonValue::Number(4.0));
-        match get("counters") {
-            JsonValue::Object(counters) => {
-                assert!(counters
-                    .iter()
-                    .any(|(k, v)| k == "mt_retired" && *v == JsonValue::Number(10.0)));
-                assert_eq!(counters.len(), Counter::COUNT);
-            }
-            other => panic!("counters not an object: {other:?}"),
+        assert_eq!(v.get("epoch_len"), Some(&JsonValue::Number(4.0)));
+        assert_eq!(v.get("final_cycle"), Some(&JsonValue::Number(10.0)));
+        assert!(
+            v.get("counters").is_none(),
+            "the totals are the run's SimStats"
+        );
+        // 2 full epochs of 4 plus a flushed partial of 2, each read back
+        // through the sample codec.
+        let epochs = v.get("epochs").and_then(JsonValue::as_array).unwrap();
+        let back: Vec<EpochSample> = epochs
+            .iter()
+            .map(|e| EpochSample::from_json(e).expect("epoch decodes"))
+            .collect();
+        assert_eq!(back.len(), 3);
+        assert_eq!(back[2].stats.mt_retired, 2);
+        for (b, e) in back.iter().zip(&rep.epochs) {
+            assert_eq!(
+                (b.epoch, b.end_cycle, &b.stats),
+                (e.epoch, e.end_cycle, &e.stats)
+            );
         }
-        match get("epochs") {
-            // 2 full epochs of 4 plus a flushed partial of 2.
-            JsonValue::Array(epochs) => assert_eq!(epochs.len(), 3),
-            other => panic!("epochs not an array: {other:?}"),
-        }
-        match get("events") {
-            JsonValue::Array(events) => {
-                // Trigger + 3 epoch-end events.
-                assert_eq!(events.len(), 4);
-            }
-            other => panic!("events not an array: {other:?}"),
-        }
+        // Trigger + 3 epoch-end events.
+        let events = v.get("events").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(events.len(), 4);
     }
 
     #[test]
@@ -531,9 +430,10 @@ mod tests {
         let csv = rep.epochs_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + rep.epochs.len());
-        assert!(lines[0].starts_with("epoch,end_cycle,"));
-        assert!(lines[1].starts_with("0,"));
+        assert!(lines[0].starts_with("epoch,end_cycle,cycles,mt_retired,"));
+        assert!(lines[1].starts_with("0,4,4,4,"));
         let cols = lines[0].split(',').count();
+        assert_eq!(cols, SimStats::LEN + 4);
         for row in &lines[1..] {
             assert_eq!(row.split(',').count(), cols, "ragged row: {row}");
         }
@@ -545,76 +445,5 @@ mod tests {
         assert_eq!(rep.event_count(EventKind::Trigger), 1);
         assert_eq!(rep.event_count(EventKind::EpochEnd), 3);
         assert_eq!(rep.event_count(EventKind::Mispredict), 0);
-    }
-
-    #[test]
-    fn epoch_feature_rows_empty_series() {
-        let rep = Report::default();
-        assert!(rep.epoch_feature_rows().is_empty());
-    }
-
-    #[test]
-    fn epoch_feature_rows_single_epoch() {
-        let mut rep = Report::default();
-        rep.epochs.push(EpochSample {
-            epoch: 0,
-            end_cycle: 500,
-            cycles: 500,
-            retired: 1000,
-            ipc: 0.0, // stored fields are deliberately ignored
-            mispredicts: 20,
-            mpki: 0.0,
-            triggers: 4,
-            pred_hits: 10,
-            dram_accesses: 6,
-            ifetch_stalls: 50,
-            avg_rob: 0.0,
-            avg_pred_queue: 0.0,
-        });
-        let rows = rep.epoch_feature_rows();
-        assert_eq!(rows.len(), 1);
-        let r = rows[0];
-        assert!((r[0] - 2.0).abs() < 1e-12, "ipc = retired/cycles");
-        assert!((r[1] - 20.0).abs() < 1e-12, "mpki");
-        assert!((r[2] - 4.0).abs() < 1e-12, "triggers_pki");
-        assert!((r[3] - 10.0).abs() < 1e-12, "pred_hits_pki");
-        assert!((r[4] - 6.0).abs() < 1e-12, "mem_pki");
-        assert!((r[5] - 0.1).abs() < 1e-12, "ifetch_stall_frac");
-    }
-
-    #[test]
-    fn epoch_feature_rows_zero_cycle_and_zero_retired_epochs_are_finite() {
-        let mut rep = Report::default();
-        let degenerate = EpochSample {
-            epoch: 0,
-            end_cycle: 0,
-            cycles: 0,
-            retired: 0,
-            ipc: f64::NAN,
-            mispredicts: 7,
-            mpki: f64::INFINITY,
-            triggers: 1,
-            pred_hits: 1,
-            dram_accesses: 1,
-            ifetch_stalls: 1,
-            avg_rob: 0.0,
-            avg_pred_queue: 0.0,
-        };
-        rep.epochs.push(degenerate.clone());
-        rep.epochs.push(EpochSample {
-            epoch: 1,
-            cycles: 100,
-            retired: 0, // zero retired but nonzero cycles
-            ..degenerate
-        });
-        for row in rep.epoch_feature_rows() {
-            for (i, v) in row.iter().enumerate() {
-                assert!(v.is_finite(), "column {i} not finite: {v}");
-            }
-        }
-        let rows = rep.epoch_feature_rows();
-        assert_eq!(rows[0], [0.0; EPOCH_FEATURES]);
-        // Second epoch: rates over retired are 0, stall fraction is real.
-        assert!((rows[1][5] - 0.01).abs() < 1e-12);
     }
 }

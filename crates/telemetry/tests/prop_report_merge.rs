@@ -5,7 +5,7 @@
 //!
 //! * **associativity** and **`Report::default()` as identity** — full
 //!   structural equality, over arbitrary well-formed reports;
-//! * **commutativity of every unordered aggregate** — counters, gauges,
+//! * **commutativity of every unordered aggregate** — gauges,
 //!   histograms, `final_cycle`, `events_dropped`, `verbose`,
 //!   `epoch_len`, and the epoch/event *multisets*. The epoch and event
 //!   sequences themselves are order-defined splices (that is the point
@@ -17,7 +17,7 @@
 //! exactly what a [`phelps_telemetry::Registry`] produces.
 
 use phelps_telemetry::{
-    Counter, EpochSample, EventKind, EventRecord, Gauge, GaugeSummary, Hist, HistSummary, Report,
+    EpochSample, EventKind, EventRecord, Gauge, GaugeSummary, Hist, HistSummary, Report, SimStats,
 };
 use proptest::prelude::*;
 
@@ -32,18 +32,16 @@ fn big() -> impl Strategy<Value = u64> {
 /// `final_cycle`s, and a run whose clock is near `u64::MAX` is not a
 /// state the recorder can produce).
 type Raw = (
-    (usize, u64, bool, u64),   // label pick, epoch_len, verbose, events_dropped
-    Vec<u64>,                  // counters
-    Vec<(u64, u64, u64)>,      // gauges: sum (as u64), max, samples
-    Vec<(Vec<u64>, u64, u64)>, // hists: buckets, count, sum (as u64)
-    Vec<((u64, u64, u64, u64), (u64, u64, u64), (u32, u32, u32, u32))>, // epochs
+    (usize, u64, bool, u64),     // label pick, epoch_len, verbose, events_dropped
+    Vec<(u64, u64, u64)>,        // gauges: sum (as u64), max, samples
+    Vec<(Vec<u64>, u64, u64)>,   // hists: buckets, count, sum (as u64)
+    Vec<(Vec<u64>, (u32, u32))>, // epochs: counter deltas, gauge averages
     (Vec<(u8, u64, u64, u64)>, u64), // events (kind, cycle-delta, pc, info), final-cycle slack
 );
 
 fn raw() -> impl Strategy<Value = Raw> {
     (
         (0usize..3, 0u64..1_000, any::<bool>(), big()),
-        prop::collection::vec(big(), Counter::COUNT..Counter::COUNT + 1),
         prop::collection::vec((big(), big(), big()), Gauge::COUNT..Gauge::COUNT + 1),
         prop::collection::vec(
             (prop::collection::vec(big(), 0..6), big(), big()),
@@ -51,9 +49,8 @@ fn raw() -> impl Strategy<Value = Raw> {
         ),
         prop::collection::vec(
             (
-                (0u64..50_000, 0u64..50_000, 0u64..1_000, 0u64..1_000),
-                (0u64..1_000, 0u64..1_000, 0u64..50_000),
-                (0u32..4_096, 0u32..4_096, 0u32..4_096, 0u32..4_096),
+                prop::collection::vec(0u64..50_000, SimStats::LEN..SimStats::LEN + 1),
+                (0u32..4_096, 0u32..4_096),
             ),
             0..4,
         ),
@@ -75,8 +72,7 @@ fn kind(sel: u8) -> EventKind {
 }
 
 fn build_report(r: Raw) -> Report {
-    let ((label_sel, epoch_len, verbose, events_dropped), counters, gauges, hists, epochs, events) =
-        r;
+    let ((label_sel, epoch_len, verbose, events_dropped), gauges, hists, epochs, events) = r;
     let mut report = Report {
         label: ["", "shard", "run/a"][label_sel].to_string(),
         epoch_len,
@@ -84,7 +80,6 @@ fn build_report(r: Raw) -> Report {
         events_dropped,
         ..Report::default()
     };
-    report.counters.copy_from_slice(&counters);
     for (slot, (sum, max, samples)) in report.gauges.iter_mut().zip(gauges) {
         *slot = GaugeSummary {
             sum: u128::from(sum),
@@ -102,23 +97,13 @@ fn build_report(r: Raw) -> Report {
     // Epochs close in series order: indices are positions and end
     // cycles never decrease.
     let mut end_cycle = 0u64;
-    for (j, ((cycles, retired, mispredicts, triggers), (pred_hits, dram, ifetch), floats)) in
-        epochs.into_iter().enumerate()
-    {
-        end_cycle += cycles;
-        let (ipc, mpki, rob, pq) = floats;
+    for (j, (deltas, (rob, pq))) in epochs.into_iter().enumerate() {
+        let stats = SimStats::from_array(deltas.try_into().expect("one value per counter"));
+        end_cycle += stats.cycles;
         report.epochs.push(EpochSample {
             epoch: j as u64,
             end_cycle,
-            cycles,
-            retired,
-            ipc: f64::from(ipc) / 64.0,
-            mispredicts,
-            mpki: f64::from(mpki) / 64.0,
-            triggers,
-            pred_hits,
-            dram_accesses: dram,
-            ifetch_stalls: ifetch,
+            stats,
             avg_rob: f64::from(rob) / 64.0,
             avg_pred_queue: f64::from(pq) / 64.0,
         });
@@ -153,21 +138,10 @@ fn merged(a: &Report, b: &Report) -> Report {
 
 /// Multiset key of one epoch's payload — everything except the
 /// position-defined `epoch` index and spliced `end_cycle`.
-fn epoch_key(e: &EpochSample) -> (u64, u64, u64, u64, u64, u64, u64, [u64; 4]) {
+fn epoch_key(e: &EpochSample) -> ([u64; SimStats::LEN], [u64; 2]) {
     (
-        e.cycles,
-        e.retired,
-        e.mispredicts,
-        e.triggers,
-        e.pred_hits,
-        e.dram_accesses,
-        e.ifetch_stalls,
-        [
-            e.ipc.to_bits(),
-            e.mpki.to_bits(),
-            e.avg_rob.to_bits(),
-            e.avg_pred_queue.to_bits(),
-        ],
+        e.stats.to_array(),
+        [e.avg_rob.to_bits(), e.avg_pred_queue.to_bits()],
     )
 }
 
@@ -198,7 +172,6 @@ proptest! {
     fn unordered_aggregates_commute(a in rep(), b in rep()) {
         let ab = merged(&a, &b);
         let ba = merged(&b, &a);
-        prop_assert_eq!(ab.counters, ba.counters);
         prop_assert_eq!(ab.gauges, ba.gauges);
         prop_assert_eq!(&ab.hists, &ba.hists);
         prop_assert_eq!(ab.final_cycle, ba.final_cycle);
@@ -226,6 +199,7 @@ proptest! {
             prop_assert_eq!(e.epoch, j as u64);
             let orig = &b.epochs[j - a.epochs.len()];
             prop_assert_eq!(e.end_cycle, a.final_cycle.saturating_add(orig.end_cycle));
+            prop_assert_eq!(&e.stats, &orig.stats);
         }
         // Events stay sorted by cycle, and none is lost.
         prop_assert!(m.events.windows(2).all(|w| w[0].cycle <= w[1].cycle));

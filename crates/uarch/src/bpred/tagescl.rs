@@ -102,10 +102,6 @@ impl DirectionPredictor for TageScL {
     }
 
     fn update(&mut self, pc: u64, taken: bool, predicted: bool) {
-        phelps_telemetry::count(phelps_telemetry::Counter::BpredUpdates);
-        if predicted != taken {
-            phelps_telemetry::count(phelps_telemetry::Counter::BpredWrong);
-        }
         self.loop_pred.update(pc, taken);
         // Judge the SC on whether flipping would have helped, using the
         // retired history (matches the fetch-time index; see Tage docs).

@@ -15,9 +15,10 @@
 //!
 //! A solo run keeps the owned uncore in place and is bit-identical to
 //! the pre-split hierarchy. A co-run driver instead maintains one
-//! external `Uncore` and swaps it in around each core's cycle step
-//! ([`MemoryHierarchy::swap_uncore`]), so N cores share one L2/L3/DRAM
-//! while each keeps its private tier.
+//! external [`Uncore::communal`] and swaps it in around each core's cycle
+//! step ([`MemoryHierarchy::swap_uncore`]), so N cores share one
+//! L2/L3/DRAM while each keeps its private tier, and each core's
+//! shared-level counters read its attributed share.
 //!
 //! Port admission models finite bandwidth: a level with `ports = N`
 //! accepts N requests per cycle and pushes the rest to later cycles, so
@@ -143,47 +144,37 @@ impl MemoryHierarchy {
         (self.l1d.store_accesses, self.l1d.store_misses)
     }
 
-    /// L2 demand misses (machine-wide: all tenants of the installed
-    /// uncore).
+    /// L2 demand misses charged to this core by the installed uncore
+    /// (see [`Uncore::charged`]).
     pub fn l2_misses(&self) -> u64 {
-        self.uncore.l2_misses()
+        self.uncore.charged(self.tenant).l2_misses
     }
 
-    /// L3 demand misses (machine-wide: all tenants of the installed
-    /// uncore).
+    /// L3 demand misses charged to this core by the installed uncore.
     pub fn l3_misses(&self) -> u64 {
-        self.uncore.l3_misses()
+        self.uncore.charged(self.tenant).l3_misses
     }
 
     /// Prefetches issued on this core's behalf: L1-targeted fills plus
     /// the shared prefetcher's fills attributed to this tenant. In a solo
     /// run this equals the pre-split hierarchy's single counter.
     pub fn prefetches_issued(&self) -> u64 {
-        self.core_prefetches + self.uncore.tenant_stats(self.tenant).prefetches_issued
+        self.core_prefetches + self.uncore.charged(self.tenant).prefetches_issued
     }
 
     /// Per-level port admission-stall cycles:
     /// `(l1i, l1d, l2, l3, dram queue)`. Each value is the total delay the
     /// level's port imposed on requests over the run; the shared-tier
-    /// values are machine-wide (all tenants of the installed uncore).
+    /// values are those the installed uncore charges to this core.
     pub fn port_stalls(&self) -> (u64, u64, u64, u64, u64) {
-        let (l2, l3, dram) = self.uncore.port_stalls();
+        let shared = self.uncore.charged(self.tenant);
         (
             self.l1i_port.stall_cycles(),
             self.l1d_port.stall_cycles(),
-            l2,
-            l3,
-            dram,
+            shared.l2_port_stalls,
+            shared.l3_port_stalls,
+            shared.dram_queue_stalls,
         )
-    }
-
-    /// Admits through `port`, recording any imposed delay into `c`.
-    fn admit(port: &mut Port, c: tlm::Counter, cycle: u64) -> u64 {
-        let at = port.admit(cycle);
-        if at > cycle {
-            tlm::add(c, at - cycle);
-        }
-        at
     }
 
     /// Routes one request into the hierarchy: admits it through the ports
@@ -204,7 +195,7 @@ impl MemoryHierarchy {
 
     /// A demand load entering at the L1D.
     fn demand_load(&mut self, req: MemRequest) -> AccessResult {
-        let cycle = Self::admit(&mut self.l1d_port, tlm::Counter::L1dPortStalls, req.cycle);
+        let cycle = self.l1d_port.admit(req.cycle);
         // A miss to this block already in flight: merge onto it. Fills are
         // applied to the tag array eagerly, so this check must precede the
         // probe to charge the merged access the true fill latency. The
@@ -214,7 +205,6 @@ impl MemoryHierarchy {
         let (mut done, level, l1_prefetch_hit);
         if let Some((fill, inflight_level)) = self.l1d.mshr_pending(req.addr, cycle) {
             self.l1d.accesses += 1;
-            tlm::count(tlm::Counter::MshrMerges);
             done = fill.max(cycle + self.l1d.latency() as u64);
             level = inflight_level;
             l1_prefetch_hit = false;
@@ -243,12 +233,10 @@ impl MemoryHierarchy {
                     if !self.l1d.mshr_allocate(req.addr, cycle, done, level) {
                         // All MSHRs busy: retry after a fixed backoff.
                         done += 4;
-                        tlm::count(tlm::Counter::MshrFullRetries);
                         tlm::event(tlm::EventKind::MshrFull, cycle, req.pc, req.addr);
                     }
                     self.l1d.fill(req.addr, false, done);
                     if tlm::enabled() {
-                        tlm::count(tlm::Counter::L1dMisses);
                         tlm::hist(tlm::Hist::MissLatency, done.saturating_sub(req.cycle));
                         tlm::gauge(
                             tlm::Gauge::MshrOccupancy,
@@ -286,12 +274,10 @@ impl MemoryHierarchy {
     /// ([`MemoryHierarchy::l1d_store_stats`]) rather than the demand
     /// counters, so retired stores do not inflate load-MPKI.
     fn store(&mut self, req: MemRequest) -> AccessResult {
-        tlm::count(tlm::Counter::StoresRetired);
-        let cycle = Self::admit(&mut self.l1d_port, tlm::Counter::L1dPortStalls, req.cycle);
+        let cycle = self.l1d_port.admit(req.cycle);
         let l1_lat = self.l1d.latency() as u64;
         if let Some((fill, level)) = self.l1d.mshr_pending(req.addr, cycle) {
             self.l1d.store_accesses += 1;
-            tlm::count(tlm::Counter::MshrMerges);
             let done = fill.max(cycle + l1_lat);
             tlm::hist(tlm::Hist::MissLatency, done.saturating_sub(req.cycle));
             return AccessResult {
@@ -310,7 +296,6 @@ impl MemoryHierarchy {
                 let (mut done, level) = self.access_lower(req, cycle);
                 if !self.l1d.mshr_allocate(req.addr, cycle, done, level) {
                     done += 4;
-                    tlm::count(tlm::Counter::MshrFullRetries);
                     tlm::event(tlm::EventKind::MshrFull, cycle, req.pc, req.addr);
                 }
                 self.l1d.fill(req.addr, false, done);
@@ -335,11 +320,10 @@ impl MemoryHierarchy {
                 l1_prefetch_hit: false,
             };
         };
-        let cycle = Self::admit(&mut self.l1i_port, tlm::Counter::L1iPortStalls, req.cycle);
+        let cycle = self.l1i_port.admit(req.cycle);
         let lat = l1i.latency() as u64;
         let result = if let Some((fill, level)) = l1i.mshr_pending(req.addr, cycle) {
             l1i.accesses += 1;
-            tlm::count(tlm::Counter::MshrMerges);
             let done = fill.max(cycle + lat);
             tlm::hist(tlm::Hist::MissLatency, done.saturating_sub(req.cycle));
             AccessResult {
@@ -358,14 +342,10 @@ impl MemoryHierarchy {
                     let (mut done, level) = self.access_lower(req, cycle);
                     if !l1i.mshr_allocate(req.addr, cycle, done, level) {
                         done += 4;
-                        tlm::count(tlm::Counter::MshrFullRetries);
                         tlm::event(tlm::EventKind::MshrFull, cycle, req.pc, req.addr);
                     }
                     l1i.fill(req.addr, false, done);
-                    if tlm::enabled() {
-                        tlm::count(tlm::Counter::L1iMisses);
-                        tlm::hist(tlm::Hist::MissLatency, done.saturating_sub(req.cycle));
-                    }
+                    tlm::hist(tlm::Hist::MissLatency, done.saturating_sub(req.cycle));
                     AccessResult {
                         done_cycle: done,
                         level,
@@ -402,7 +382,7 @@ impl MemoryHierarchy {
             return false;
         }
         self.core_prefetches += 1;
-        let at = Self::admit(&mut self.l1d_port, tlm::Counter::L1dPortStalls, cycle);
+        let at = self.l1d_port.admit(cycle);
         if !self.uncore.l2_contains(addr, self.tenant) {
             self.uncore.prefetch_fill_l2(addr, at, self.tenant);
         }

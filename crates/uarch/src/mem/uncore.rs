@@ -3,12 +3,14 @@
 //! tiers can share one instance.
 //!
 //! Every request arriving here is tenant-tagged (see
-//! [`MemRequest::tenant`]); the uncore attributes the misses, DRAM
-//! accesses, and port/queue admission delay it charges to the issuing
-//! tenant in [`UncoreStats`], while the underlying [`Cache`] and [`Port`]
-//! counters keep the machine-wide totals the solo path has always
-//! reported. A solo run is tenant 0 throughout, so the single-tenant
-//! numbers are bit-identical to the pre-split hierarchy.
+//! [`MemRequest::tenant`]); the uncore attributes the misses and the
+//! port/queue admission delay it charges to the issuing tenant in
+//! [`UncoreStats`], while the underlying [`Cache`] and [`Port`] counters
+//! keep the machine-wide totals the solo path has always reported.
+//! [`Uncore::charged`] reports one or the other: a core's own uncore
+//! charges it the machine totals (a solo run is tenant 0 throughout, so
+//! its numbers are bit-identical to the pre-split hierarchy), and a
+//! [`Uncore::communal`] one charges each tenant its attributed share.
 //!
 //! Cross-core arbitration is deterministic: the co-run driver steps the
 //! cores in fixed tenant-id order within each simulated cycle, and
@@ -17,17 +19,14 @@
 
 use crate::config::CoreConfig;
 use crate::mem::{AccessLevel, Cache, MemRequest, Port, Probe, VldpPrefetcher};
-use phelps_telemetry as tlm;
 
 /// Per-tenant attribution of the shared-level traffic and contention.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UncoreStats {
     /// L2 demand misses issued by this tenant.
     pub l2_misses: u64,
-    /// L3 demand misses issued by this tenant.
+    /// L3 demand misses (each one a DRAM access) issued by this tenant.
     pub l3_misses: u64,
-    /// DRAM accesses issued by this tenant.
-    pub dram_accesses: u64,
     /// Cycles of L2-port admission delay imposed on this tenant.
     pub l2_port_stalls: u64,
     /// Cycles of L3-port admission delay imposed on this tenant.
@@ -52,6 +51,8 @@ pub struct Uncore {
     vldp: Option<VldpPrefetcher>,
     /// Per-tenant attribution, grown on demand as tenants appear.
     tenants: Vec<UncoreStats>,
+    /// Whether several cores share this instance (see [`Uncore::charged`]).
+    communal: bool,
 }
 
 impl Uncore {
@@ -70,6 +71,17 @@ impl Uncore {
                 .l2_prefetcher
                 .then(|| VldpPrefetcher::new(cfg.l2.block_bytes)),
             tenants: Vec::new(),
+            communal: false,
+        }
+    }
+
+    /// Builds the shared tier a co-run driver swaps into each core: the
+    /// same machine as [`Uncore::new`], but [`Uncore::charged`] reports
+    /// each tenant's attributed share instead of the machine totals.
+    pub fn communal(cfg: &CoreConfig) -> Uncore {
+        Uncore {
+            communal: true,
+            ..Uncore::new(cfg)
         }
     }
 
@@ -90,29 +102,29 @@ impl Uncore {
         self.tenants.len()
     }
 
-    /// Records tenant-split admission delay into the telemetry stream
-    /// (tenants beyond the two co-run slots are counted only in
-    /// [`UncoreStats`]).
-    fn tlm_split(tenant: usize, t0: tlm::Counter, t1: tlm::Counter, delay: u64) {
-        match tenant {
-            0 => tlm::add(t0, delay),
-            1 => tlm::add(t1, delay),
-            _ => {}
+    /// The shared-level counters charged to `tenant`: its attributed
+    /// share of a [`Uncore::communal`] tier, or the machine totals of a
+    /// core's own tier (which also count the L3 probes of the L2
+    /// prefetcher's fills). Prefetches are the tenant's share either way.
+    pub fn charged(&self, tenant: usize) -> UncoreStats {
+        let own = self.tenant_stats(tenant);
+        if self.communal {
+            return own;
+        }
+        UncoreStats {
+            l2_misses: self.l2.misses,
+            l3_misses: self.l3.misses,
+            l2_port_stalls: self.l2_port.stall_cycles(),
+            l3_port_stalls: self.l3_port.stall_cycles(),
+            dram_queue_stalls: self.dram_queue.stall_cycles(),
+            prefetches_issued: own.prefetches_issued,
         }
     }
 
     fn admit_l2(&mut self, cycle: u64, tenant: usize) -> u64 {
         let at = self.l2_port.admit(cycle);
         if at > cycle {
-            let d = at - cycle;
-            tlm::add(tlm::Counter::L2PortStalls, d);
-            Self::tlm_split(
-                tenant,
-                tlm::Counter::SharedPortStallsT0,
-                tlm::Counter::SharedPortStallsT1,
-                d,
-            );
-            self.stat_mut(tenant).l2_port_stalls += d;
+            self.stat_mut(tenant).l2_port_stalls += at - cycle;
         }
         at
     }
@@ -120,15 +132,7 @@ impl Uncore {
     fn admit_l3(&mut self, cycle: u64, tenant: usize) -> u64 {
         let at = self.l3_port.admit(cycle);
         if at > cycle {
-            let d = at - cycle;
-            tlm::add(tlm::Counter::L3PortStalls, d);
-            Self::tlm_split(
-                tenant,
-                tlm::Counter::SharedPortStallsT0,
-                tlm::Counter::SharedPortStallsT1,
-                d,
-            );
-            self.stat_mut(tenant).l3_port_stalls += d;
+            self.stat_mut(tenant).l3_port_stalls += at - cycle;
         }
         at
     }
@@ -136,15 +140,7 @@ impl Uncore {
     fn admit_dram(&mut self, cycle: u64, tenant: usize) -> u64 {
         let at = self.dram_queue.admit(cycle);
         if at > cycle {
-            let d = at - cycle;
-            tlm::add(tlm::Counter::DramQueueStalls, d);
-            Self::tlm_split(
-                tenant,
-                tlm::Counter::DramQueueStallsT0,
-                tlm::Counter::DramQueueStallsT1,
-                d,
-            );
-            self.stat_mut(tenant).dram_queue_stalls += d;
+            self.stat_mut(tenant).dram_queue_stalls += at - cycle;
         }
         at
     }
@@ -172,17 +168,12 @@ impl Uncore {
         let result = match self.l2.probe(addr, cycle) {
             Probe::Hit { .. } => (cycle + l2_lat, AccessLevel::L2),
             Probe::Miss => {
-                tlm::count(tlm::Counter::L2Misses);
                 self.stat_mut(tenant).l2_misses += 1;
                 let at3 = self.admit_l3(cycle, tenant);
                 let (done, level) = match self.l3.probe(addr, at3) {
                     Probe::Hit { .. } => (at3 + self.l3.latency() as u64, AccessLevel::L3),
                     Probe::Miss => {
-                        tlm::count(tlm::Counter::L3Misses);
-                        tlm::count(tlm::Counter::DramAccesses);
-                        let s = self.stat_mut(tenant);
-                        s.l3_misses += 1;
-                        s.dram_accesses += 1;
+                        self.stat_mut(tenant).l3_misses += 1;
                         let atq = self.admit_dram(at3, tenant);
                         let done = atq + self.l3.latency() as u64 + self.dram_latency as u64;
                         self.l3.fill(addr, false, done);
@@ -239,26 +230,6 @@ impl Uncore {
             self.l2.warm_insert(addr);
         }
     }
-
-    /// Machine-wide L2 demand misses (all tenants).
-    pub fn l2_misses(&self) -> u64 {
-        self.l2.misses
-    }
-
-    /// Machine-wide L3 demand misses (all tenants).
-    pub fn l3_misses(&self) -> u64 {
-        self.l3.misses
-    }
-
-    /// Machine-wide shared-tier admission-stall cycles:
-    /// `(l2, l3, dram queue)`.
-    pub fn port_stalls(&self) -> (u64, u64, u64) {
-        (
-            self.l2_port.stall_cycles(),
-            self.l3_port.stall_cycles(),
-            self.dram_queue.stall_cycles(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -286,12 +257,16 @@ mod tests {
         }
         let t0 = u.tenant_stats(0);
         let t1 = u.tenant_stats(1);
-        assert_eq!(t0.l2_misses + t1.l2_misses, u.l2_misses());
-        assert_eq!(t0.l3_misses + t1.l3_misses, u.l3_misses());
-        let (l2_p, l3_p, dram_p) = u.port_stalls();
-        assert_eq!(t0.l2_port_stalls + t1.l2_port_stalls, l2_p);
-        assert_eq!(t0.l3_port_stalls + t1.l3_port_stalls, l3_p);
-        assert_eq!(t0.dram_queue_stalls + t1.dram_queue_stalls, dram_p);
+        // A core's own uncore charges it the machine totals.
+        let m = u.charged(0);
+        assert_eq!(t0.l2_misses + t1.l2_misses, m.l2_misses);
+        assert_eq!(t0.l3_misses + t1.l3_misses, m.l3_misses);
+        assert_eq!(t0.l2_port_stalls + t1.l2_port_stalls, m.l2_port_stalls);
+        assert_eq!(t0.l3_port_stalls + t1.l3_port_stalls, m.l3_port_stalls);
+        assert_eq!(
+            t0.dram_queue_stalls + t1.dram_queue_stalls,
+            m.dram_queue_stalls
+        );
     }
 
     #[test]

@@ -86,6 +86,9 @@ cold_submit=$(./target/release/phelps-serve submit --port="$serve_port" \
     --workload=bfs --mode=phelps --region=20000 --epoch=5000)
 echo "$cold_submit" | grep -q '"type":"epoch"' || {
     echo "ci.sh: cold serve submit streamed no epoch samples" >&2; exit 1; }
+# Each epoch frame carries the epoch's SimStats delta.
+echo "$cold_submit" | grep -q '"type":"epoch".*"stats":{.*"mt_retired":' || {
+    echo "ci.sh: cold serve submit epoch frames carry no SimStats delta" >&2; exit 1; }
 echo "$cold_submit" | grep -q '"type":"result".*"dedup":"simulated"' || {
     echo "ci.sh: cold serve submit did not simulate" >&2; exit 1; }
 warm_submit=$(./target/release/phelps-serve submit --port="$serve_port" \
@@ -169,7 +172,7 @@ diff "$cold_out" "$warm_out" || {
     echo "ci.sh: restored simpoints run diverged from the cold run" >&2; exit 1; }
 diff "$cold_merged" "$warm_merged" || {
     echo "ci.sh: merged stats/telemetry depend on PHELPS_JOBS" >&2; exit 1; }
-grep -q '"schema":"phelps-simpoints-merged/1"' "$cold_merged" || {
+grep -q '"schema":"phelps-simpoints-merged/2"' "$cold_merged" || {
     echo "ci.sh: simpoints --merged-out JSON missing or malformed" >&2; exit 1; }
 [ "$(ckpt_field "$cold_err" saves)" -gt 0 ] || {
     echo "ci.sh: cold run saved no checkpoints" >&2; exit 1; }
