@@ -10,10 +10,12 @@
 //! restores it in O(resident pages) instead of re-executing
 //! O(`start_inst`) instructions.
 //!
+//! Checkpointing is always on. A save that fails only warns, and the run
+//! goes on from the in-memory snapshot, so a read-only or full disk
+//! costs speed, not results.
+//!
 //! ## Environment variables
 //!
-//! * `PHELPS_NO_CKPT=1` — disable checkpointing and fast-forward
-//!   functionally, exactly as before this module existed;
 //! * `PHELPS_CKPT_DIR` — checkpoint directory (default `results/ckpt`);
 //! * `PHELPS_CKPT_WARM` — functional-warming window W (default 0): the
 //!   last W pre-region instructions are replayed through the cache
@@ -39,8 +41,6 @@ use std::time::Instant;
 /// [`from_env`]: CkptPolicy::from_env
 #[derive(Clone, Debug)]
 pub struct CkptPolicy {
-    /// Checkpointing on? When off, region starts fast-forward functionally.
-    pub enabled: bool,
     /// Checkpoint directory (created lazily on first save).
     pub dir: PathBuf,
     /// Functional-warming window W in instructions (0 = cold restore).
@@ -48,10 +48,9 @@ pub struct CkptPolicy {
 }
 
 impl CkptPolicy {
-    /// Reads `PHELPS_NO_CKPT` / `PHELPS_CKPT_DIR` / `PHELPS_CKPT_WARM`.
+    /// Reads `PHELPS_CKPT_DIR` / `PHELPS_CKPT_WARM`.
     pub fn from_env() -> CkptPolicy {
         CkptPolicy {
-            enabled: !std::env::var("PHELPS_NO_CKPT").is_ok_and(|v| v != "0"),
             dir: std::env::var("PHELPS_CKPT_DIR")
                 .ok()
                 .filter(|s| !s.is_empty())
@@ -146,17 +145,6 @@ pub fn region_cpu_with(
     if skip == 0 {
         return Ok((cpu, Vec::new()));
     }
-    if !policy.enabled {
-        let t = Instant::now();
-        cpu.run(skip)?;
-        let ns = elapsed_ns(t);
-        with_totals(|tot| {
-            tot.ff_ns += ns;
-            tot.ff_insts += skip;
-        });
-        return Ok((cpu, Vec::new()));
-    }
-
     let store = CheckpointStore::new(&policy.dir);
     let key = ckpt::region_key(label, &cpu, skip);
     if let Some(snap) = store.load(&key) {
@@ -220,9 +208,6 @@ pub fn ensure_region_checkpoints_with(
     mut cpu: Cpu,
     starts: &[u64],
 ) -> Result<(), EmuError> {
-    if !policy.enabled {
-        return Ok(());
-    }
     let mut wanted: Vec<u64> = starts.iter().copied().filter(|&s| s > 0).collect();
     wanted.sort_unstable();
     wanted.dedup();
@@ -284,11 +269,7 @@ mod tests {
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        CkptPolicy {
-            enabled: true,
-            dir,
-            warm,
-        }
+        CkptPolicy { dir, warm }
     }
 
     fn assert_same_arch(a: &Cpu, b: &Cpu) {
@@ -313,18 +294,6 @@ mod tests {
         assert_same_arch(&hit, &plain);
         assert!(warm1.is_empty());
         let _ = std::fs::remove_dir_all(&p.dir);
-    }
-
-    #[test]
-    fn disabled_policy_is_plain_fast_forward() {
-        let mut p = policy("disabled", 0);
-        p.enabled = false;
-        let (cpu, warm) = region_cpu_with(&p, "wl", looping_cpu(), 300).unwrap();
-        let mut plain = looping_cpu();
-        plain.run(300).unwrap();
-        assert_same_arch(&cpu, &plain);
-        assert!(warm.is_empty());
-        assert!(!p.dir.exists(), "no checkpoint directory when disabled");
     }
 
     #[test]

@@ -36,11 +36,7 @@ impl Scratch {
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        Scratch(CkptPolicy {
-            enabled: true,
-            dir,
-            warm: 0,
-        })
+        Scratch(CkptPolicy { dir, warm: 0 })
     }
 }
 

@@ -17,6 +17,7 @@
 //! sharing one uncore (L2/L3 + ports + DRAM queue), interleaved
 //! cycle-by-cycle with deterministic tenant-id arbitration, and reports
 //! per-tenant results with each tenant's attributed shared-tier stalls.
+//! Its driver, [`run_corun_pair`], takes two caller-built pipelines.
 
 mod phelps_engine;
 mod pipeline;
@@ -31,6 +32,7 @@ pub use types::{
 
 use phelps_isa::Cpu;
 use phelps_telemetry as tlm;
+use phelps_uarch::config::CoreConfig;
 use phelps_uarch::mem::Uncore;
 
 /// Runs `cpu` (program + initialized memory/registers) to completion under
@@ -133,15 +135,9 @@ impl Pipeline<PhelpsEngine> {
 
 /// Co-runs two workloads on two cores sharing one uncore built from
 /// `cfg0.core` (tenant 0's shared-tier geometry; co-run pairs normally
-/// share a [`phelps_uarch::config::CoreConfig`]) and returns the
-/// per-tenant results.
-///
-/// The driver interleaves the two pipelines cycle-by-cycle in fixed
-/// tenant-id order, swapping the communal [`Uncore`] into each core
-/// around its step — tenant 0 always claims same-cycle shared-port and
-/// DRAM-queue slots first, so arbitration (and the whole co-run) is
-/// deterministic: no host threading, timing, or worker count can change
-/// the outcome. When one tenant finishes, the other keeps running alone.
+/// share a [`CoreConfig`]) and returns the per-tenant results: it is
+/// [`run_corun_pair`] over [`Pipeline::from_config`] of each (cpu,
+/// config).
 ///
 /// Shared-level fields of each tenant's
 /// [`phelps_uarch::stats::SimStats`] (L2/L3 misses, shared port and
@@ -158,9 +154,30 @@ pub fn simulate_corun_pair(
     cpu1: Cpu,
     cfg1: &RunConfig,
 ) -> [SimResult; 2] {
-    let mut uncore = Uncore::communal(&cfg0.core);
-    let mut p0 = Pipeline::from_config(cpu0, cfg0);
-    let mut p1 = Pipeline::from_config(cpu1, cfg1);
+    run_corun_pair(
+        &cfg0.core,
+        Pipeline::from_config(cpu0, cfg0),
+        Pipeline::from_config(cpu1, cfg1),
+    )
+}
+
+/// The co-run driver behind [`simulate_corun_pair`], over two pipelines
+/// the caller built (and, for an oracle, set to
+/// [`Pipeline::record_retires`]). It tags them tenants 0 and 1 and
+/// builds the communal [`Uncore`] from `shared`.
+///
+/// The driver interleaves the two pipelines cycle-by-cycle in fixed
+/// tenant-id order, swapping the communal uncore into each core around
+/// its step — tenant 0 always claims same-cycle shared-port and
+/// DRAM-queue slots first, so arbitration (and the whole co-run) is
+/// deterministic: no host threading, timing, or worker count can change
+/// the outcome. When one tenant finishes, the other keeps running alone.
+pub fn run_corun_pair<E0: PreExecEngine, E1: PreExecEngine>(
+    shared: &CoreConfig,
+    mut p0: Pipeline<E0>,
+    mut p1: Pipeline<E1>,
+) -> [SimResult; 2] {
+    let mut uncore = Uncore::communal(shared);
     p0.set_tenant(0);
     p1.set_tenant(1);
     let bound = p0.cycle_bound().max(p1.cycle_bound());

@@ -12,7 +12,7 @@
 //! [`super::slab`]). Select pops those queues and never visits an entry
 //! that still waits.
 
-use super::{Pipeline, SimContext, Stage, NO_DEP};
+use super::{Pipeline, SimContext, NO_DEP};
 use crate::sim::types::{ExecInfo, PreExecEngine, SideAction, SideKind, MT, NUM_THREADS};
 use phelps_isa::{Inst, MemWidth, Reg};
 use phelps_uarch::bpred::DirectionPredictor;
@@ -55,9 +55,8 @@ impl<E: PreExecEngine> Pipeline<E> {
         ];
         // Oldest-first select: each pop is the oldest ready entry among
         // the lanes with budget left. `execute` may change the queues
-        // mid-walk: a dead drain wakes younger consumers into them, which
-        // can still issue this cycle, and a squash or terminate leaves
-        // entries that the pops drop.
+        // mid-walk: a squash or terminate leaves entries that the pops
+        // drop.
         let mut held = std::mem::take(&mut self.ctx.issue_scratch);
         while let Some(seq) = self.ctx.insts.pop_ready(&budget) {
             let m = self.ctx.insts.meta(seq).expect("popped entry is in flight");
@@ -91,15 +90,7 @@ impl<E: PreExecEngine> Pipeline<E> {
     }
 
     fn execute(&mut self, seq: u64) {
-        let m = self.ctx.insts.meta(seq).expect("issuing");
-        let tid = m.tid as usize;
-        if m.is_dead() {
-            // Dead instructions drain without effects; they still wake
-            // their consumers, which may issue later in this same select.
-            self.ctx.insts.set_stage(seq, Stage::Done);
-            self.ctx.insts.wake_consumers(seq);
-            return;
-        }
+        let tid = self.ctx.insts.meta(seq).expect("issuing").tid as usize;
         if tid == MT {
             self.execute_mt(seq);
         } else {

@@ -17,12 +17,6 @@ impl SimContext {
             if s >= seq {
                 break;
             }
-            let Some(m) = self.insts.meta(s) else {
-                continue;
-            };
-            if m.is_dead() {
-                continue;
-            }
             if let Some(Stage::Exec { .. } | Stage::Done) = self.insts.stage(s) {
                 let di = self.insts.get(s).expect("live store");
                 let saddr = if tid == MT {
@@ -42,15 +36,11 @@ impl SimContext {
     /// address (issued to execute).
     pub(super) fn older_stores_resolved(&self, tid: usize, seq: u64) -> bool {
         self.threads[tid].stores.iter().all(|&s| {
-            if s >= seq {
-                return true;
-            }
-            match (self.insts.stage(s), self.insts.meta(s)) {
-                (Some(st), Some(m)) if !m.is_dead() => {
-                    matches!(st, Stage::Exec { .. } | Stage::Done)
-                }
-                _ => true,
-            }
+            s >= seq
+                || self
+                    .insts
+                    .stage(s)
+                    .is_none_or(|st| matches!(st, Stage::Exec { .. } | Stage::Done))
         })
     }
 }
@@ -70,7 +60,6 @@ impl<E: PreExecEngine> Pipeline<E> {
                     Some(Stage::Exec { .. } | Stage::Done)
                 );
                 executed
-                    && self.ctx.insts.meta(s).is_some_and(|m| !m.is_dead())
                     && self.ctx.insts.get(s).is_some_and(|di| {
                         (if tid == MT {
                             di.rec.mem_addr

@@ -632,13 +632,6 @@ impl<E: PreExecEngine> Pipeline<E> {
         self.issue();
         self.ctx.dispatch();
         self.fetch();
-        // Selective squash requested by the engine (BR chain rollback).
-        if let Some(engine) = self.engine.as_mut() {
-            let tags = engine.take_squash_tags();
-            if !tags.is_empty() {
-                self.ctx.kill_tagged(&tags);
-            }
-        }
         #[cfg(feature = "debug-invariants")]
         self.ctx.check_invariants();
     }

@@ -163,7 +163,7 @@ impl<E: PreExecEngine> Pipeline<E> {
             self.ctx.threads[tid].rob.pop_front();
             self.ctx.threads[tid].forget_tracked(seq, &r.meta);
             self.ctx.release_resources(tid, &r);
-            self.finish_side_retire(tid, r);
+            self.finish_side_retire(tid, r.di);
             n += 1;
         }
     }
@@ -183,7 +183,7 @@ impl<E: PreExecEngine> Pipeline<E> {
             let r = self.ctx.insts.remove(s).expect("present");
             self.ctx.threads[tid].forget_tracked(s, &r.meta);
             self.ctx.release_resources(tid, &r);
-            self.finish_side_retire(tid, r);
+            self.finish_side_retire(tid, r.di);
         }
         if !scratch.is_empty() {
             // One retain pass over the (small, partition-capped) side ROB
@@ -194,11 +194,7 @@ impl<E: PreExecEngine> Pipeline<E> {
         self.ctx.loose_scratch = scratch;
     }
 
-    fn finish_side_retire(&mut self, tid: usize, r: RemovedInst) {
-        if r.meta.is_dead() {
-            return;
-        }
-        let di = r.di;
+    fn finish_side_retire(&mut self, tid: usize, di: DynInst) {
         self.ctx.stats.ht_retired += 1;
         let Some(side) = di.side else { return };
 

@@ -79,7 +79,6 @@ impl Lane {
 const F_LOAD: u8 = 1 << 0;
 const F_STORE: u8 = 1 << 1;
 const F_DST: u8 = 1 << 2;
-const F_DEAD: u8 = 1 << 3;
 
 /// Hot per-instruction scalar state (structure-of-arrays column).
 #[derive(Clone, Copy, Debug)]
@@ -136,19 +135,11 @@ impl InstMeta {
     pub(super) fn has_dst(&self) -> bool {
         self.flags & F_DST != 0
     }
-
-    pub(super) fn is_dead(&self) -> bool {
-        self.flags & F_DEAD != 0
-    }
-
-    pub(super) fn set_dead(&mut self) {
-        self.flags |= F_DEAD;
-    }
 }
 
 /// A removed instruction: payload plus the column state it held, so
-/// retire/squash bookkeeping (resource release, dead check) works after
-/// the columns have been reclaimed.
+/// retire/squash bookkeeping (resource release) works after the columns
+/// have been reclaimed.
 pub(super) struct RemovedInst {
     pub di: DynInst,
     pub stage: Stage,
@@ -246,17 +237,6 @@ impl InstSlab {
         if old == Some(Stage::InIq) {
             self.iq_len -= 1;
         }
-    }
-
-    /// Sets the stage of a live instruction. `InIq` goes through
-    /// [`InstSlab::bind_deps`], which also queues the entry for issue;
-    /// `Exec` goes through [`InstSlab::start_exec`], which also
-    /// schedules the completion.
-    pub(super) fn set_stage(&mut self, seq: u64, st: Stage) {
-        let i = self.index(seq).expect("set_stage on reclaimed seq");
-        debug_assert!(st != Stage::InIq, "InIq without binding deps");
-        debug_assert!(!matches!(st, Stage::Exec { .. }), "Exec without an event");
-        self.restage(i, st);
     }
 
     /// A live instruction starts executing and completes at `done`.
@@ -467,15 +447,6 @@ impl InstSlab {
             .enumerate()
             .filter_map(|(i, s)| Some((self.base + i as u64, s.as_ref()?)))
     }
-
-    /// Live payload/meta pairs in seq order, meta mutable (engine-tagged
-    /// selective kill).
-    pub(super) fn iter_meta_mut(&mut self) -> impl Iterator<Item = (&DynInst, &mut InstMeta)> {
-        self.slots
-            .iter()
-            .zip(self.meta.iter_mut())
-            .filter_map(|(s, m)| Some((s.as_ref()?, m)))
-    }
 }
 
 #[cfg(test)]
@@ -529,8 +500,6 @@ mod tests {
         RemoveAt(usize),
         /// Squash: remove every live seq >= a live pivot.
         SquashFrom(usize),
-        /// Stage transitions other than dispatch and issue (dead drain).
-        SetStage(usize, u8),
         /// Dispatch with every dep ready: a frontend seq enters the IQ
         /// and its lane's ready queue.
         Enqueue(usize),
@@ -561,7 +530,6 @@ mod tests {
             Just(Op::RetireFront),
             (0usize..64).prop_map(Op::RemoveAt),
             (0usize..64).prop_map(Op::SquashFrom),
-            (0usize..64, 0u8..2).prop_map(|(i, s)| Op::SetStage(i, s)),
             ((0u32..3, 0u32..3, 0u32..3), 0u64..16, 0u64..4)
                 .prop_map(|((a, m, c), d, h)| Op::PopReady([a, m, c], d, h)),
             (0usize..64, 0u64..16).prop_map(|(i, d)| Op::Exec(i, d)),
@@ -574,13 +542,6 @@ mod tests {
             0 => Lane::Alu,
             1 => Lane::Mem,
             _ => Lane::Complex,
-        }
-    }
-
-    fn stage_of(code: u8) -> Stage {
-        match code {
-            0 => Stage::Frontend,
-            _ => Stage::Done,
         }
     }
 
@@ -609,7 +570,8 @@ mod tests {
         }
         slab.start_exec(1, 5);
         slab.start_exec(2, 3);
-        slab.set_stage(3, Stage::Done);
+        slab.start_exec(3, 1);
+        assert_eq!(slab.pop_completed(1), Some(3));
         slab.bind_deps(4, [1, 1], [2, 3]);
         assert_eq!(slab.meta(4).unwrap().unready, 3);
         assert!(slab.consumers(1).eq([4]));
@@ -684,12 +646,6 @@ mod tests {
                                 model.remove(&s);
                                 removed.push(s);
                             }
-                        }
-                    }
-                    Op::SetStage(i, code) => {
-                        if let Some(s) = pick(&model, i) {
-                            slab.set_stage(s, stage_of(code));
-                            model.insert(s, stage_of(code));
                         }
                     }
                     Op::Enqueue(i) => {

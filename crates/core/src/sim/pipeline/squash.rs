@@ -1,6 +1,6 @@
 //! Squash machinery (main-thread replay squash, side-thread partial
-//! squash, engine-tagged selective kill) and the pre-execution
-//! trigger/terminate transitions that repartition the core.
+//! squash) and the pre-execution trigger/terminate transitions that
+//! repartition the core.
 
 use super::{Pipeline, SimContext, Stage};
 use crate::sim::types::{PreExecEngine, HT_A, HT_B, MT};
@@ -173,16 +173,5 @@ impl SimContext {
             .filter(|&&s| matches!(self.insts.stage(s), Some(Stage::Frontend)))
             .count();
         self.threads[tid].frontend = remaining_frontend;
-    }
-
-    /// Marks engine-tagged instructions dead (they drain without effects).
-    pub(super) fn kill_tagged(&mut self, tags: &[u64]) {
-        for (di, m) in self.insts.iter_meta_mut() {
-            if let Some(side) = &di.side {
-                if tags.contains(&side.tag) {
-                    m.set_dead();
-                }
-            }
-        }
     }
 }

@@ -188,8 +188,10 @@ pub trait PreExecEngine {
         false
     }
 
-    /// Instructions the engine wants squashed right now (selective chain
-    /// rollback); identified by their engine tags. Cleared by the call.
+    /// Unused: the pipeline never calls this and no engine overrides it.
+    /// It stays declared only because the benchmark's timing wrapper in
+    /// `benchmark/src/timed.rs` implements it; the next change to
+    /// `benchmark/` deletes both.
     fn take_squash_tags(&mut self) -> Vec<u64> {
         Vec::new()
     }

@@ -1,5 +1,6 @@
 //! Tests of the paper's §V-K "explored but omitted" scenarios, which this
-//! reproduction implements as opt-in extensions:
+//! reproduction implements as extensions that `ConstructorConfig::default()`
+//! turns on (the paper's evaluated configuration has neither):
 //!
 //! * **OR-guards** — a store reachable on either of two guard directions
 //!   gets a two-source ORed predicate operand;

@@ -254,12 +254,6 @@ impl BrEngine {
             .map(|&pc| (pc, OutcomeQueue::default()))
             .collect();
         // Live-in moves from the MT shadow.
-        let live_ins: Vec<Reg> = self
-            .cached
-            .get(&start_pc)
-            .map(|_| Vec::new())
-            .unwrap_or_default();
-        let _ = live_ins;
         let moves = build_moves(&chains_live_ins(&chains), &self.mt_regs);
         self.active = Some(ActiveChains {
             bounds,

@@ -8,18 +8,6 @@
 
 pub use phelps_telemetry::SimStats;
 
-/// Where a conditional-branch prediction consumed by the fetch unit came
-/// from.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum PredSource {
-    /// The core's default (TAGE-SC-L-class) predictor.
-    DefaultPredictor,
-    /// A Phelps prediction queue (or a Branch Runahead outcome queue).
-    PreExecQueue,
-    /// Oracle prediction (perfect-BP configuration).
-    Oracle,
-}
-
 /// Speedup of `test` over `baseline` by IPC.
 pub fn speedup(baseline: &SimStats, test: &SimStats) -> f64 {
     if baseline.ipc() == 0.0 {

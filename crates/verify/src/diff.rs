@@ -19,7 +19,9 @@
 //! [`runahead_pipeline`]). [`check_kernel_prefix`] runs the first
 //! [`KERNEL_PREFIX`] instructions of a suite kernel under Phelps and
 //! BR-Speculative, where helper threads really trigger and retire, and
-//! fails a run that triggers nothing.
+//! fails a run that triggers nothing. [`check_corun_prefix`] does the
+//! same for the two tenants of a co-run pair, each against its own solo
+//! emulator prefix.
 //!
 //! Any divergence means the replay/squash machinery dropped, duplicated
 //! or reordered a record, or retire-time state application went wrong.
@@ -27,7 +29,9 @@
 //! [`FinalState::mt_regs`]: phelps::sim::FinalState::mt_regs
 //! [`Memory::first_difference`]: phelps_isa::Memory::first_difference
 
-use phelps::sim::{Mode, PhelpsFeatures, Pipeline, PreExecEngine, RunConfig, SimResult};
+use phelps::sim::{
+    run_corun_pair, Mode, PhelpsFeatures, Pipeline, PreExecEngine, RunConfig, SimResult,
+};
 use phelps_isa::{Cpu, ExecRecord, Reg};
 use phelps_runahead::{runahead_pipeline, BrVariant};
 use phelps_uarch::stats::SimStats;
@@ -47,6 +51,9 @@ pub const KERNEL_EPOCH: u64 = 10_000;
 
 /// Name of the Branch Runahead run in a [`Mismatch`].
 pub const BR_SPEC: &str = "br-spec";
+
+/// Names of the two co-run tenants in a [`Mismatch`].
+pub const CORUN_TENANTS: [&str; 2] = ["corun-t0", "corun-t1"];
 
 /// A divergence between the pipeline and the reference emulator.
 #[derive(Clone, Debug)]
@@ -208,17 +215,56 @@ pub fn check_kernel_prefix(cpu: &Cpu) -> Result<[(&'static str, SimStats); 2], M
     ];
     for (mode, r) in &runs {
         compare(mode, r, &want, &emu)?;
-        if r.stats.triggers == 0 || r.stats.ht_retired == 0 {
-            return Err(Mismatch {
-                mode,
-                what: format!(
-                    "vacuous run: {} triggers, {} helper-thread instructions retired",
-                    r.stats.triggers, r.stats.ht_retired
-                ),
-            });
-        }
+        non_vacuous(mode, &r.stats)?;
     }
     Ok(runs.map(|(mode, r)| (mode, r.stats)))
+}
+
+/// Fails a pre-execution run that never triggered or retired no
+/// helper-thread instruction.
+fn non_vacuous(mode: &'static str, stats: &SimStats) -> Result<(), Mismatch> {
+    if stats.triggers == 0 || stats.ht_retired == 0 {
+        return Err(Mismatch {
+            mode,
+            what: format!(
+                "vacuous run: {} triggers, {} helper-thread instructions retired",
+                stats.triggers, stats.ht_retired
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Co-runs two kernels for [`KERNEL_PREFIX`] retired instructions each,
+/// through the same driver as [`phelps::sim::simulate_corun_pair`], and
+/// checks each tenant against its own solo emulator prefix: sharing the
+/// uncore may change timing but never a retired record, a register or a
+/// memory word. A Phelps tenant that triggers nothing fails, as in
+/// [`check_kernel_prefix`]. Returns each tenant's statistics.
+pub fn check_corun_prefix(
+    cpu0: &Cpu,
+    mode0: Mode,
+    cpu1: &Cpu,
+    mode1: Mode,
+) -> Result<[SimStats; 2], Mismatch> {
+    let cfg0 = RunConfig::quick(mode0, KERNEL_PREFIX, KERNEL_EPOCH);
+    let cfg1 = RunConfig::quick(mode1, KERNEL_PREFIX, KERNEL_EPOCH);
+    let logged = |cpu: &Cpu, cfg: &RunConfig| {
+        let mut p = Pipeline::from_config(cpu.clone(), cfg);
+        p.record_retires();
+        p
+    };
+    let results = run_corun_pair(&cfg0.core, logged(cpu0, &cfg0), logged(cpu1, &cfg1));
+    let tenants = [(cpu0, &cfg0), (cpu1, &cfg1)];
+    for (i, ((cpu, cfg), r)) in tenants.into_iter().zip(&results).enumerate() {
+        let name = CORUN_TENANTS[i];
+        let (want, emu) = emulate(cpu, KERNEL_PREFIX);
+        compare(name, r, &want, &emu)?;
+        if matches!(cfg.mode, Mode::Phelps(_)) {
+            non_vacuous(name, &r.stats)?;
+        }
+    }
+    Ok(results.map(|r| r.stats))
 }
 
 #[cfg(test)]

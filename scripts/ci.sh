@@ -26,10 +26,12 @@ echo "==> differential fuzz (200 programs, fixed seed, debug-invariants)"
 cargo run --release -q -p phelps-verify --features debug-invariants \
     --bin phelps-fuzz -- 200
 
-echo "==> kernel prefix oracle (bfs, astar_small x Phelps, BR; debug-invariants)"
+echo "==> kernel prefix oracle (bfs, astar_small x Phelps, BR, co-run pairs; debug-invariants)"
 # The fuzzed programs never trigger an engine; this runs real kernels
 # whose helper threads trigger and retire, and fails a run that triggers
 # nothing, so every side-thread path meets the per-cycle assertions.
+# Both tenants of a bfs/astar_small co-run pair are checked against
+# their solo emulator prefixes too.
 cargo test --release -q -p phelps-verify --features debug-invariants \
     --test kernel_prefix
 
@@ -58,12 +60,19 @@ case $smoke_out in
 *) echo "ci.sh: warm runner smoke run missed the cache" >&2; exit 1 ;;
 esac
 
-echo "==> figure binaries (all ten, PHELPS_REGION=100000, cold cache)"
-# Every figure binary must run to completion. To check that a change
-# moves no number, run scripts/figures.sh in the parent checkout too and
-# diff the two output directories.
+echo "==> figure binaries (all ten, PHELPS_REGION=100000, cold cache, diff vs results/ci)"
+# Every figure binary must run to completion and print exactly the
+# committed results/ci/<bin>.txt, so a change that moves a number fails
+# here until it commits the new output.
 fig_out=$(mktemp -d)
 ./scripts/figures.sh "$fig_out"
+diff -r results/ci "$fig_out" || {
+    rm -rf "$fig_out"
+    echo "ci.sh: figure output differs from results/ci (diff above)." >&2
+    echo "ci.sh: if the change is meant to move these numbers, regenerate" \
+        "them with ./scripts/figures.sh results/ci and give the reason" \
+        "in CHANGES.md." >&2
+    exit 1; }
 rm -rf "$fig_out"
 
 echo "==> serve smoke test (daemon on ephemeral port: stream, dedup, drain)"

@@ -5,19 +5,21 @@
 #
 # Builds the phelps-bench binaries, clears inherited PHELPS_* variables,
 # and runs all ten binaries at PHELPS_REGION=100000 PHELPS_EPOCH=10000
-# with the result cache off and a fresh checkpoint directory. Each runs
-# from a temporary working directory, so the tree's results/*.csv are
-# left alone. Stdout goes to OUTDIR/<bin>.txt; any nonzero exit fails
-# the script (the failing binary's stderr is shown).
+# on PHELPS_JOBS=2 workers, with the result cache off and a fresh
+# checkpoint directory. The fixed worker count keeps the `[runner] ...
+# jobs=N` line independent of the host. Each binary runs from a
+# temporary working directory, so the tree's results/*.csv are left
+# alone. Stdout goes to OUTDIR/<bin>.txt; any nonzero exit fails the
+# script (the failing binary's stderr is shown).
 #
 # The region is long enough for pre-execution to trigger: every fig11
 # configuration and most fig12a Phelps cells move from Baseline, so the
 # outputs include cells where helper threads run. At a region of 20000
 # no Phelps cell triggers and every one reads +0.0%.
 #
-# A refactor that must not move any number can be checked by running
-# this in a checkout of the parent commit and in the change, then
-# `diff -r PARENT_OUTDIR CHANGE_OUTDIR`.
+# results/ci/ holds the committed output, and ci.sh fails when a fresh
+# run differs from it. A change that moves a number regenerates it with
+# `./scripts/figures.sh results/ci` and gives the reason in CHANGES.md.
 set -eu
 
 [ $# -eq 1 ] || { echo "usage: $0 OUTDIR" >&2; exit 2; }
@@ -32,6 +34,7 @@ cargo build --release -q -p phelps-bench --bins
 for v in $(env | sed -n 's/^\(PHELPS_[A-Za-z0-9_]*\)=.*/\1/p'); do
     unset "$v"
 done
+export PHELPS_JOBS=2
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
