@@ -42,7 +42,7 @@ fn main() {
         };
         let mut row = vec![name.to_string()];
         for c in classes {
-            row.push(format!("{:.2}", r.breakdown.mpki(c)));
+            row.push(format!("{:.2}", c.mpki(&r.stats)));
         }
         rows.push(row);
     }

@@ -14,12 +14,11 @@
 //! enforces this (see `scripts/ci.sh`).
 
 use phelps::sim::{Mode, PhelpsFeatures};
-use phelps_bench::runner::cache;
 use phelps_bench::{
     ckpt_support, epoch_len, exp_config, print_table, resolved_jobs, run_simpoints_with,
     SimPointRun,
 };
-use phelps_telemetry as tlm;
+use phelps_telemetry::{self as tlm, JsonWriter};
 use phelps_workloads::simpoints::SimPointConfig;
 use phelps_workloads::suite;
 
@@ -38,12 +37,12 @@ struct EvalRun {
 }
 
 /// Serializes every merged run as one JSON document: per-run
-/// weighted-hmean IPC, the merged stats/breakdown (cache body format),
-/// and the merged telemetry report. Byte-identical across worker counts
-/// by construction — the sharded-equals-sequential CI check diffs two of
-/// these files.
+/// weighted-hmean IPC, the merged `SimStats` (the cache's `"stats"`
+/// object), and the merged telemetry report. Byte-identical across
+/// worker counts by construction — the sharded-equals-sequential CI
+/// check diffs two of these files.
 fn merged_json(runs: &[EvalRun]) -> String {
-    let mut j = String::from("{\"schema\":\"phelps-simpoints-merged/2\",\"runs\":[");
+    let mut j = String::from("{\"schema\":\"phelps-simpoints-merged/3\",\"runs\":[");
     let mut first = true;
     for er in runs {
         let Some(merged) = er.run.merged.as_ref() else {
@@ -53,13 +52,15 @@ fn merged_json(runs: &[EvalRun]) -> String {
             j.push(',');
         }
         first = false;
+        let mut stats = JsonWriter::new();
+        merged.stats.write_json(&mut stats);
         j.push_str(&format!(
-            "{{\"workload\":\"{}\",\"mode\":\"{}\",\"points\":{},\"hmean_ipc\":{:.6},{}",
+            "{{\"workload\":\"{}\",\"mode\":\"{}\",\"points\":{},\"hmean_ipc\":{:.6},\"stats\":{}",
             er.workload,
             er.mode_label,
             er.run.points.len(),
             er.run.hmean_ipc,
-            cache::result_body_json(merged)
+            stats.finish()
         ));
         if let Some(report) = merged.telemetry.as_deref() {
             j.push_str(&format!(",\"telemetry\":{}", report.to_json()));

@@ -5,9 +5,10 @@
 //! (which folds in `PHELPS_REGION`/`PHELPS_EPOCH` and every core
 //! parameter), and the crate version. The FNV-1a hash of that string
 //! names a JSON file under the cache directory holding the run's
-//! [`SimStats`] and misprediction breakdown. On load the embedded
-//! fingerprint is compared against the full expected string, so a hash
-//! collision or a stale schema degrades to a miss, never a wrong result.
+//! [`SimStats`]. On load the embedded fingerprint is compared against
+//! the full expected string, and every counter must be present, so a
+//! hash collision or a stale schema degrades to a miss, never a wrong
+//! result.
 //!
 //! # Concurrency
 //!
@@ -30,7 +31,6 @@
 //!
 //! [`RunConfig`]: phelps::sim::RunConfig
 
-use phelps::classify::{MispredictBreakdown, MispredictClass};
 use phelps::sim::SimResult;
 use phelps_telemetry::{parse_json, JsonValue, JsonWriter};
 use phelps_uarch::stats::SimStats;
@@ -55,74 +55,26 @@ pub fn cell_path(dir: &Path, fingerprint: &str) -> PathBuf {
     dir.join(format!("{:016x}.json", fnv1a(fingerprint)))
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serializes the stats + breakdown of one result as a JSON object-body
-/// fragment (`"stats":{...},"breakdown":{...}`, no surrounding braces).
-/// Shared by the cache file format and the `phelps-serve` wire protocol,
-/// so a cached cell and a streamed result are byte-compatible.
-pub fn result_body_json(r: &SimResult) -> String {
-    let mut stats = JsonWriter::new();
-    r.stats.write_json(&mut stats);
-    let mut j = format!(
-        "\"stats\":{},\"breakdown\":{{\"retired\":{},\"counts\":{{",
-        stats.finish(),
-        r.breakdown.retired
-    );
-    let mut first = true;
-    for class in MispredictClass::all() {
-        let n = r.breakdown.count(class);
-        if n == 0 {
-            continue;
-        }
-        if !first {
-            j.push(',');
-        }
-        first = false;
-        j.push_str(&format!("\"{}\":{n}", json_escape(class.label())));
-    }
-    j.push_str("}}");
-    j
-}
-
-/// Serializes one cell result (stats + breakdown, no telemetry).
+/// Serializes one cell result: its fingerprint and its [`SimStats`]
+/// (no telemetry).
 pub(super) fn to_json(fingerprint: &str, r: &SimResult) -> String {
-    format!(
-        "{{\"fingerprint\":\"{}\",{}}}",
-        json_escape(fingerprint),
-        result_body_json(r)
-    )
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("fingerprint");
+    w.string(fingerprint);
+    w.key("stats");
+    r.stats.write_json(&mut w);
+    w.end_object();
+    w.finish()
 }
 
-/// Reconstructs a [`SimResult`] from a parsed JSON object containing the
-/// [`result_body_json`] fields (`stats` + `breakdown`). The inverse of
-/// that fragment, shared by the cache loader and the serve client.
+/// Reconstructs a [`SimResult`] from a parsed JSON object whose
+/// `"stats"` member was written by [`SimStats::write_json`]. Shared by
+/// the cache loader and the `phelps-serve` `result` frame, so a cached
+/// cell and a streamed result decode the same way.
 pub fn result_from_body(v: &JsonValue) -> Option<SimResult> {
-    let stats = SimStats::from_json(v.get("stats")?)?;
-    let bd = v.get("breakdown")?;
-    let mut breakdown = MispredictBreakdown::new();
-    breakdown.retired = bd.get("retired")?.as_u64()?;
-    let counts = bd.get("counts")?;
-    for class in MispredictClass::all() {
-        if let Some(n) = counts.get(class.label()).and_then(JsonValue::as_u64) {
-            breakdown.add(class, n);
-        }
-    }
     Some(SimResult {
-        stats,
-        breakdown,
+        stats: SimStats::from_json(v.get("stats")?)?,
         telemetry: None,
         retire_log: None,
         final_state: None,
@@ -241,44 +193,29 @@ mod tests {
     use super::*;
 
     fn sample() -> SimResult {
-        let mut r = SimResult {
-            stats: SimStats::default(),
-            breakdown: MispredictBreakdown::new(),
+        SimResult {
+            stats: SimStats {
+                cycles: 12_345,
+                mt_retired: 1_000_000,
+                l3_misses: 7,
+                misp_eliminated: 42,
+                misp_not_delinquent: 3,
+                ..SimStats::default()
+            },
             telemetry: None,
             retire_log: None,
             final_state: None,
-        };
-        r.stats.cycles = 12_345;
-        r.stats.mt_retired = 1_000_000;
-        r.stats.l3_misses = 7;
-        r.breakdown.retired = 1_000_000;
-        r.breakdown.add(MispredictClass::Eliminated, 42);
-        r.breakdown.add(MispredictClass::NotDelinquent, 3);
-        r
+        }
     }
 
     #[test]
-    fn roundtrip_preserves_stats_and_breakdown() {
+    fn roundtrip_preserves_stats() {
         let r = sample();
         let text = to_json("fp", &r);
+        assert!(text.starts_with(r#"{"fingerprint":"fp","stats":{"cycles":12345,"#));
         let back = parse_cell(&text, "fp").expect("parses");
-        assert_eq!(back.stats.cycles, 12_345);
-        assert_eq!(back.stats.mt_retired, 1_000_000);
-        assert_eq!(back.stats.l3_misses, 7);
-        assert_eq!(back.breakdown.retired, 1_000_000);
-        assert_eq!(back.breakdown.count(MispredictClass::Eliminated), 42);
-        assert_eq!(back.breakdown.count(MispredictClass::NotDelinquent), 3);
-        assert!(back.telemetry.is_none());
-    }
-
-    #[test]
-    fn body_fragment_roundtrips_standalone() {
-        let r = sample();
-        let text = format!("{{{}}}", result_body_json(&r));
-        let v = parse_json(&text).expect("fragment wraps into valid JSON");
-        let back = result_from_body(&v).expect("body parses");
         assert_eq!(back.stats, r.stats);
-        assert_eq!(back.breakdown.retired, r.breakdown.retired);
+        assert!(back.telemetry.is_none());
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! bin: either it was *eliminated* (the consumed prediction came from a
 //! helper-thread queue and was correct — this bin counts predictions, not
 //! mispredictions), or the reason it was **not** eliminated is recorded.
+//! Each bin is a [`SimStats`] counter ([`MispredictClass::count`]), so
+//! the classification merges, caches and splits into epochs with the
+//! rest of the counters.
 
-use std::collections::BTreeMap;
+use phelps_uarch::stats::SimStats;
 
 /// Why a main-thread branch misprediction was not eliminated by Phelps
 /// (or that it was eliminated).
@@ -73,70 +76,51 @@ impl MispredictClass {
             MispredictClass::HtUntimely,
         ]
     }
-}
 
-/// Accumulates the Fig. 14 breakdown. The counts live in a `BTreeMap`
-/// so iteration (and `Debug`) order is deterministic — sharded runs
-/// compare merged breakdowns byte-for-byte across worker counts, and a
-/// hash-seeded map order would fail that even with identical contents.
-#[derive(Clone, Debug, Default)]
-pub struct MispredictBreakdown {
-    counts: BTreeMap<MispredictClass, u64>,
-    /// Main-thread instructions retired (for the MPKI denominator).
-    pub retired: u64,
-}
-
-impl MispredictBreakdown {
-    /// Creates an empty breakdown.
-    pub fn new() -> MispredictBreakdown {
-        MispredictBreakdown::default()
-    }
-
-    /// Records one classified event.
-    pub fn record(&mut self, class: MispredictClass) {
-        *self.counts.entry(class).or_insert(0) += 1;
-    }
-
-    /// Adds `n` events in one class at once (bulk reconstruction, e.g.
-    /// when a cached breakdown is reloaded from disk).
-    pub fn add(&mut self, class: MispredictClass, n: u64) {
-        if n > 0 {
-            *self.counts.entry(class).or_insert(0) += n;
+    /// This class's count in `stats`. `HtWrongOutcome` is
+    /// `mispredicts_from_queue`: both engines give that class exactly
+    /// when a queue-supplied prediction mispredicts.
+    pub fn count(self, stats: &SimStats) -> u64 {
+        match self {
+            MispredictClass::Eliminated => stats.misp_eliminated,
+            MispredictClass::GatheringDelinquency => stats.misp_gathering_delinquency,
+            MispredictClass::HtBeingConstructed => stats.misp_ht_being_constructed,
+            MispredictClass::HtNotConstructed => stats.misp_ht_not_constructed,
+            MispredictClass::HtTooBig => stats.misp_ht_too_big,
+            MispredictClass::NotInLoop => stats.misp_not_in_loop,
+            MispredictClass::NotIteratingEnough => stats.misp_not_iterating_enough,
+            MispredictClass::NotDelinquent => stats.misp_not_delinquent,
+            MispredictClass::HtWrongOutcome => stats.mispredicts_from_queue,
+            MispredictClass::HtUntimely => stats.misp_ht_untimely,
         }
     }
 
-    /// Count in one class.
-    pub fn count(&self, class: MispredictClass) -> u64 {
-        self.counts.get(&class).copied().unwrap_or(0)
-    }
-
-    /// MPKI contribution of one class.
-    pub fn mpki(&self, class: MispredictClass) -> f64 {
-        if self.retired == 0 {
+    /// This class's count per thousand main-thread instructions.
+    pub fn mpki(self, stats: &SimStats) -> f64 {
+        if stats.mt_retired == 0 {
             0.0
         } else {
-            1000.0 * self.count(class) as f64 / self.retired as f64
+            1000.0 * self.count(stats) as f64 / stats.mt_retired as f64
         }
     }
 
-    /// Folds another run's breakdown into this one: per-class counts and
-    /// the retired denominator sum, so per-class MPKI reads as the
-    /// whole-run value. Associative and commutative with an empty
-    /// breakdown as identity (the same laws as `SimStats::merge`).
-    pub fn merge(&mut self, other: &MispredictBreakdown) {
-        for (class, n) in &other.counts {
-            *self.counts.entry(*class).or_insert(0) += n;
-        }
-        self.retired = self.retired.saturating_add(other.retired);
-    }
-
-    /// Total *residual* (non-eliminated) mispredictions.
-    pub fn residual(&self) -> u64 {
-        MispredictClass::all()
-            .into_iter()
-            .filter(|c| *c != MispredictClass::Eliminated)
-            .map(|c| self.count(c))
-            .sum()
+    /// Counts one event of this class at retire. `HtWrongOutcome` is
+    /// already counted as `mispredicts_from_queue`, from the prediction's
+    /// source.
+    pub(crate) fn record(self, stats: &mut SimStats) {
+        let field = match self {
+            MispredictClass::Eliminated => &mut stats.misp_eliminated,
+            MispredictClass::GatheringDelinquency => &mut stats.misp_gathering_delinquency,
+            MispredictClass::HtBeingConstructed => &mut stats.misp_ht_being_constructed,
+            MispredictClass::HtNotConstructed => &mut stats.misp_ht_not_constructed,
+            MispredictClass::HtTooBig => &mut stats.misp_ht_too_big,
+            MispredictClass::NotInLoop => &mut stats.misp_not_in_loop,
+            MispredictClass::NotIteratingEnough => &mut stats.misp_not_iterating_enough,
+            MispredictClass::NotDelinquent => &mut stats.misp_not_delinquent,
+            MispredictClass::HtWrongOutcome => return,
+            MispredictClass::HtUntimely => &mut stats.misp_ht_untimely,
+        };
+        *field += 1;
     }
 }
 
@@ -146,16 +130,36 @@ mod tests {
 
     #[test]
     fn record_and_query() {
-        let mut b = MispredictBreakdown::new();
-        b.retired = 1000;
-        b.record(MispredictClass::Eliminated);
-        b.record(MispredictClass::Eliminated);
-        b.record(MispredictClass::NotDelinquent);
-        assert_eq!(b.count(MispredictClass::Eliminated), 2);
-        assert_eq!(b.count(MispredictClass::NotDelinquent), 1);
-        assert_eq!(b.count(MispredictClass::HtTooBig), 0);
-        assert_eq!(b.residual(), 1);
-        assert!((b.mpki(MispredictClass::NotDelinquent) - 1.0).abs() < 1e-12);
+        let mut s = SimStats {
+            mt_retired: 1000,
+            ..SimStats::default()
+        };
+        MispredictClass::Eliminated.record(&mut s);
+        MispredictClass::Eliminated.record(&mut s);
+        MispredictClass::NotDelinquent.record(&mut s);
+        assert_eq!(MispredictClass::Eliminated.count(&s), 2);
+        assert_eq!(MispredictClass::NotDelinquent.count(&s), 1);
+        assert_eq!(MispredictClass::HtTooBig.count(&s), 0);
+        assert!((MispredictClass::NotDelinquent.mpki(&s) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn each_class_has_its_own_counter() {
+        for class in MispredictClass::all() {
+            let mut s = SimStats::default();
+            class.record(&mut s);
+            let want = u64::from(class != MispredictClass::HtWrongOutcome);
+            assert_eq!(s.to_array().iter().sum::<u64>(), want, "{class:?}");
+            for other in MispredictClass::all() {
+                let n = if other == class { want } else { 0 };
+                assert_eq!(other.count(&s), n, "{class:?} read as {other:?}");
+            }
+        }
+        let s = SimStats {
+            mispredicts_from_queue: 5,
+            ..SimStats::default()
+        };
+        assert_eq!(MispredictClass::HtWrongOutcome.count(&s), 5);
     }
 
     #[test]
@@ -178,28 +182,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counts_and_denominator() {
-        let mut a = MispredictBreakdown::new();
-        a.retired = 1000;
-        a.add(MispredictClass::Eliminated, 3);
-        let mut b = MispredictBreakdown::new();
-        b.retired = 3000;
-        b.add(MispredictClass::Eliminated, 1);
-        b.add(MispredictClass::HtUntimely, 4);
-        a.merge(&b);
-        assert_eq!(a.retired, 4000);
-        assert_eq!(a.count(MispredictClass::Eliminated), 4);
-        assert_eq!(a.count(MispredictClass::HtUntimely), 4);
-        assert!((a.mpki(MispredictClass::HtUntimely) - 1.0).abs() < 1e-12);
-        // Identity.
-        let snapshot = (a.retired, a.count(MispredictClass::Eliminated));
-        a.merge(&MispredictBreakdown::new());
-        assert_eq!(snapshot, (a.retired, a.count(MispredictClass::Eliminated)));
-    }
-
-    #[test]
     fn zero_retired_mpki_guard() {
-        let b = MispredictBreakdown::new();
-        assert_eq!(b.mpki(MispredictClass::Eliminated), 0.0);
+        let s = SimStats {
+            misp_eliminated: 3,
+            ..SimStats::default()
+        };
+        assert_eq!(MispredictClass::Eliminated.mpki(&s), 0.0);
     }
 }

@@ -14,7 +14,7 @@
 
 use super::{Pipeline, SimContext, NO_DEP};
 use crate::sim::types::{ExecInfo, PreExecEngine, SideAction, SideKind, MT, NUM_THREADS};
-use phelps_isa::{Inst, MemWidth, Reg};
+use phelps_isa::{Inst, Reg};
 use phelps_uarch::bpred::DirectionPredictor;
 use phelps_uarch::mem::MemRequest;
 
@@ -37,12 +37,6 @@ impl SimContext {
         while let Some(producer) = self.insts.pop_completed(self.cycle) {
             self.insts.wake_consumers(producer);
         }
-    }
-
-    /// A side load's value when served by the memory image (store cache
-    /// missed).
-    fn side_load_value(&mut self, addr: u64, width: MemWidth, signed: bool) -> u64 {
-        self.timing_mem.read(addr, width, signed)
     }
 }
 
@@ -246,7 +240,7 @@ impl<E: PreExecEngine> Pipeline<E> {
                         result = super::lsq::extract(f.result, mem_addr, width, signed);
                         done = now + 2;
                     } else {
-                        result = self.ctx.side_load_value(mem_addr, width, signed);
+                        result = self.ctx.timing_mem.read(mem_addr, width, signed);
                         done = now + self.ctx.cfg.l1d.latency as u64;
                     }
                 } else if let Some(dw) = self.ctx.store_cache.read(mem_addr) {
@@ -293,10 +287,7 @@ impl<E: PreExecEngine> Pipeline<E> {
         let mut action = SideAction::Continue;
         if let Some(engine) = self.engine.as_mut() {
             engine.side_executed(tid, &side, &info, now);
-            if matches!(
-                side.kind,
-                SideKind::LoopBranch | SideKind::TerminalBranch | SideKind::HeaderBranch
-            ) {
+            if matches!(side.kind, SideKind::LoopBranch | SideKind::HeaderBranch) {
                 action = engine.side_branch_resolved(tid, &side, taken);
             }
         }

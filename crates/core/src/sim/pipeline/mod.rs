@@ -44,7 +44,6 @@ mod retire;
 mod slab;
 mod squash;
 
-use crate::classify::MispredictBreakdown;
 use crate::sim::types::{Mode, PreExecEngine, SideInst, HT_A, HT_B, MT};
 use crate::storecache::StoreCache;
 use phelps_isa::{Cpu, EmuError, ExecRecord, Inst, Memory, NUM_REGS};
@@ -283,8 +282,6 @@ impl ThreadCtx {
 pub struct SimResult {
     /// Counter bundle.
     pub stats: SimStats,
-    /// Fig. 14 misprediction classification.
-    pub breakdown: MispredictBreakdown,
     /// Harvested telemetry, when a [`phelps_telemetry`] registry was
     /// installed on this thread before the run (see `PHELPS_TRACE`).
     pub telemetry: Option<Box<tlm::Report>>,
@@ -298,17 +295,16 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Folds a later shard's result into this one: stats and the
-    /// misprediction breakdown sum, telemetry reports merge (splicing
-    /// the epoch/event series, see `phelps_telemetry::Report::merge`),
-    /// and a missing telemetry side adopts the present one.
+    /// Folds a later shard's result into this one: stats sum, telemetry
+    /// reports merge (splicing the epoch/event series, see
+    /// `phelps_telemetry::Report::merge`), and a missing telemetry side
+    /// adopts the present one.
     ///
     /// The retire log and final architectural state are positional
     /// artifacts of one contiguous run — a stitched run has neither, so
     /// both drop to `None`.
     pub fn merge(&mut self, other: &SimResult) {
         self.stats.merge(&other.stats);
-        self.breakdown.merge(&other.breakdown);
         self.telemetry = match (self.telemetry.take(), other.telemetry.as_deref()) {
             (Some(mut a), Some(b)) => {
                 a.merge(b);
@@ -392,7 +388,6 @@ struct SimContext {
     mt_release_pending: bool,
     max_mt_insts: u64,
     stats: SimStats,
-    breakdown: MispredictBreakdown,
     thread_priority: usize,
     /// Explicit quota override: (main thread, side thread).
     quotas: Option<(ThreadQuota, ThreadQuota)>,
@@ -470,7 +465,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             mt_release_pending: false,
             max_mt_insts,
             stats: SimStats::new(),
-            breakdown: MispredictBreakdown::new(),
             thread_priority: 0,
             quotas: None,
             violating_loads: std::collections::HashSet::new(),
@@ -600,7 +594,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             self.cycle_bound()
         );
         self.ctx.stats = self.ctx.snapshot();
-        self.ctx.breakdown.retired = self.ctx.stats.mt_retired;
         let retire_log = self.ctx.retire_log.take();
         let final_state = retire_log.is_some().then(|| {
             Box::new(FinalState {
@@ -611,7 +604,6 @@ impl<E: PreExecEngine> Pipeline<E> {
         SimResult {
             telemetry: tlm::harvest(&self.ctx.stats),
             stats: self.ctx.stats.clone(),
-            breakdown: self.ctx.breakdown.clone(),
             retire_log,
             final_state,
         }

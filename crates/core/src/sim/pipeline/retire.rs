@@ -107,11 +107,20 @@ impl<E: PreExecEngine> Pipeline<E> {
                 None if di.mispredicted => Some(MispredictClass::NotDelinquent),
                 None => None,
             };
+            // "ht wrong outcome" is counted as `mispredicts_from_queue`.
+            #[cfg(feature = "debug-invariants")]
+            assert_eq!(
+                class == Some(MispredictClass::HtWrongOutcome),
+                di.mispredicted && di.pred_from == PredFrom::Queue,
+                "pc {:#x}: class {class:?} (mispredicted {}, from {:?})",
+                rec.pc,
+                di.mispredicted,
+                di.pred_from
+            );
             match class {
-                Some(MispredictClass::Eliminated) if !di.mispredicted => {
-                    self.ctx.breakdown.record(MispredictClass::Eliminated);
+                Some(c) if di.mispredicted || c == MispredictClass::Eliminated => {
+                    c.record(&mut self.ctx.stats);
                 }
-                Some(c) if di.mispredicted => self.ctx.breakdown.record(c),
                 _ => {}
             }
         }

@@ -35,8 +35,6 @@ pub enum SideKind {
     HeaderBranch,
     /// Live-in move carrying its value directly.
     LiveInMove,
-    /// Branch Runahead chain terminal branch.
-    TerminalBranch,
 }
 
 impl From<HtKind> for SideKind {

@@ -21,7 +21,6 @@ use crate::chains::ChainSet;
 use phelps::classify::MispredictClass;
 use phelps::construct::{ConstructionTarget, Constructor, ConstructorConfig};
 use phelps::delinq::{build_loop_table, Dbt, LoopBounds};
-use phelps::htc::HtKind;
 use phelps::predicate::PredSource;
 use phelps::sim::{
     EngineCkpt, EngineCmd, ExecInfo, PreExecEngine, QueueLookup, SideAction, SideInst, SideKind,
@@ -534,13 +533,10 @@ impl PreExecEngine for BrEngine {
         }
         let ht = run.chains.body[run.idx];
         let iter = run.iteration;
-        let mut side = SideInst {
+        let side = SideInst {
             pc: ht.pc,
             inst: ht.inst,
-            kind: match ht.kind {
-                HtKind::PredicateProducer { dest } => SideKind::PredProducer { dest },
-                other => other.into(),
-            },
+            kind: ht.kind.into(),
             pred_src: if speculative {
                 // BR-spec: children issue in parallel; triggering is
                 // speculative and repaired at parent resolution.
@@ -566,8 +562,6 @@ impl PreExecEngine for BrEngine {
                 }
             }
         }
-        // Tag SideInst with iteration for group-kill support.
-        side.tag = iter;
         if run.idx + 1 >= run.chains.body.len() {
             run.idx = 0;
             run.iteration += 1;
@@ -618,17 +612,11 @@ impl PreExecEngine for BrEngine {
                             }
                         }
                     };
-                    let was_speculated = run
-                        .iter_recs
-                        .get(&(iter, pc))
-                        .map(|r| r.deposited)
-                        .unwrap_or(true);
                     if should_deposit {
                         if let Some((_, q)) = run.queues.iter_mut().find(|(p, _)| *p == pc) {
                             q.deposit(iter, info.taken);
                         }
                     }
-                    let _ = was_speculated;
 
                     // Parent resolution repairs children speculated the
                     // wrong way: remove wrong deposits, add missed ones.

@@ -9,7 +9,7 @@
 use std::io::{self, Read, Write};
 
 /// Upper bound on one frame (one JSON line), newline excluded. Requests
-/// are tiny and responses are bounded by the stats/breakdown body, so
+/// are tiny and responses are bounded by the `SimStats` object, so
 /// anything larger is a protocol violation, not a big message.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024;
 

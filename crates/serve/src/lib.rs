@@ -5,7 +5,7 @@
 //! newline-delimited JSON protocol, runs them on a bounded worker pool,
 //! and streams per-epoch telemetry ([`EpochSample`] IPC/MPKI/stall
 //! series) to the submitting client *while the simulation runs*,
-//! followed by the final stats + misprediction breakdown.
+//! followed by the final `SimStats`, Fig. 14 bins included.
 //!
 //! Identical cells are deduplicated at three levels (in-flight
 //! subscription, daemon session memory, the shared on-disk result

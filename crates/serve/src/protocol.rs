@@ -12,11 +12,14 @@
 //! * `stats` → one `stats` frame of daemon counters.
 //! * `ping` → `pong`; `shutdown` → `shutdown_ack`.
 //!
-//! The `result` frame embeds the same `"stats"`/`"breakdown"` body the
-//! on-disk result cache stores ([`cache::result_body_json`]), so the
-//! wire format and the cache format can never drift apart.
+//! The `result` frame carries the run's counters as the same `"stats"`
+//! object the on-disk result cache stores ([`SimStats::write_json`]),
+//! and decodes through the cache's own reader
+//! ([`cache::result_from_body`]), so the wire format and the cache
+//! format can never drift apart.
 //!
-//! [`cache::result_body_json`]: phelps_bench::runner::cache::result_body_json
+//! [`SimStats::write_json`]: phelps_telemetry::SimStats::write_json
+//! [`cache::result_from_body`]: phelps_bench::runner::cache::result_from_body
 
 use phelps::sim::{Mode, PhelpsFeatures, SimResult};
 use phelps_bench::runner::cache;
@@ -156,9 +159,9 @@ pub enum Response {
         id: String,
         /// How the result was obtained.
         dedup: Dedup,
-        /// Stats + misprediction breakdown (telemetry rides separately
-        /// in the epoch stream and is not repeated here). Boxed to keep
-        /// the enum small — every other frame type is a few words.
+        /// The run's counters (telemetry rides separately in the epoch
+        /// stream and is not repeated here). Boxed to keep the enum
+        /// small — every other frame type is a few words.
         result: Box<SimResult>,
     },
     /// Liveness reply.
@@ -321,16 +324,8 @@ pub fn encode_response(resp: &Response) -> String {
             j.string(id);
             j.key("dedup");
             j.string(dedup.label());
-            j.end_object();
-            // Splice in the cache body fragment ("stats":{...},
-            // "breakdown":{...}) so the wire result and the on-disk
-            // cache entry share one codec.
-            let mut text = j.finish();
-            text.pop();
-            text.push(',');
-            text.push_str(&cache::result_body_json(result));
-            text.push('}');
-            return text;
+            j.key("stats");
+            result.stats.write_json(&mut j);
         }
         Response::Pong => j.string("pong"),
         Response::Stats(s) => {
@@ -391,9 +386,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         "result" => Ok(Response::Result {
             id: id()?,
             dedup: Dedup::parse(req_str(&v, "dedup", ty)?).ok_or("result: unknown dedup label")?,
-            result: Box::new(
-                cache::result_from_body(&v).ok_or("result: bad stats/breakdown body")?,
-            ),
+            result: Box::new(cache::result_from_body(&v).ok_or("result: bad or missing stats")?),
         }),
         "pong" => Ok(Response::Pong),
         "stats" => {

@@ -2,7 +2,6 @@
 //! the real encoder/decoder pair, malformed-frame rejection, and a
 //! mutation sweep over every golden frame and one result-cache body.
 
-use phelps::classify::{MispredictBreakdown, MispredictClass};
 use phelps::sim::SimResult;
 use phelps_bench::runner::cache;
 use phelps_serve::protocol::{
@@ -32,19 +31,16 @@ fn sample() -> EpochSample {
 }
 
 fn result() -> SimResult {
-    let stats = SimStats {
-        cycles: 51_326,
-        mt_retired: 50_000,
-        mt_cond_branches: 9_100,
-        ..SimStats::default()
-    };
-    let mut breakdown = MispredictBreakdown::new();
-    breakdown.retired = 50_000;
-    breakdown.record(MispredictClass::Eliminated);
-    breakdown.record(MispredictClass::NotDelinquent);
     SimResult {
-        stats,
-        breakdown,
+        stats: SimStats {
+            cycles: 51_326,
+            mt_retired: 50_000,
+            mt_cond_branches: 9_100,
+            mt_mispredicts: 1,
+            misp_eliminated: 1,
+            misp_not_delinquent: 1,
+            ..SimStats::default()
+        },
         telemetry: None,
         retire_log: None,
         final_state: None,
@@ -121,7 +117,11 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
                 r#""prefetches_issued":0,"prefetch_hits":0,"mt_fetch_stall_mispredict":0,"#,
                 r#""mt_fetch_stall_trigger":0,"mt_fetch_stall_ifetch":120,"l1i_port_stalls":0,"#,
                 r#""l1d_port_stalls":0,"l2_port_stalls":0,"l3_port_stalls":0,"#,
-                r#""dram_queue_stalls":0},"avg_rob":96.500000,"avg_pred_queue":3.250000}"#
+                r#""dram_queue_stalls":0,"misp_eliminated":0,"misp_gathering_delinquency":0,"#,
+                r#""misp_ht_being_constructed":0,"misp_ht_not_constructed":0,"#,
+                r#""misp_ht_too_big":0,"misp_not_in_loop":0,"misp_not_iterating_enough":0,"#,
+                r#""misp_not_delinquent":0,"misp_ht_untimely":0},"#,
+                r#""avg_rob":96.500000,"avg_pred_queue":3.250000}"#
             ),
         ),
     ]
@@ -201,15 +201,12 @@ fn result_response_round_trips_via_cache_body() {
         result: Box::new(original.clone()),
     });
     assert!(line.starts_with(r#"{"type":"result","id":"r","dedup":"session","stats":{"#));
+    assert!(line.ends_with(r#","misp_ht_untimely":0}}"#), "{line}");
     match parse_response(&line).unwrap() {
         Response::Result { id, dedup, result } => {
             assert_eq!(id, "r");
             assert_eq!(dedup, Dedup::Session);
             assert_eq!(result.stats, original.stats);
-            assert_eq!(
-                result.breakdown.count(MispredictClass::Eliminated),
-                original.breakdown.count(MispredictClass::Eliminated)
-            );
         }
         other => panic!("expected result, got {other:?}"),
     }
@@ -415,4 +412,51 @@ fn mutated_cache_bodies_load_as_a_miss_or_a_result() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
+}
+
+/// The `"stats"` and `"breakdown"` members of [`result`] as the
+/// simulator wrote them before the Fig. 14 bins became `SimStats`
+/// counters: 29 counters, then the bins in an object of their own.
+const STALE_BODY: &str = concat!(
+    r#""stats":{"cycles":51326,"mt_retired":50000,"ht_retired":0,"mt_cond_branches":9100,"#,
+    r#""mt_mispredicts":1,"mispredicts_from_queue":0,"preds_from_queue":0,"#,
+    r#""queue_untimely":0,"load_violations":0,"triggers":0,"terminations":0,"#,
+    r#""l1i_accesses":0,"l1i_misses":0,"l1d_accesses":0,"l1d_misses":0,"#,
+    r#""l1d_store_accesses":0,"l1d_store_misses":0,"l2_misses":0,"l3_misses":0,"#,
+    r#""prefetches_issued":0,"prefetch_hits":0,"mt_fetch_stall_mispredict":0,"#,
+    r#""mt_fetch_stall_trigger":0,"mt_fetch_stall_ifetch":0,"l1i_port_stalls":0,"#,
+    r#""l1d_port_stalls":0,"l2_port_stalls":0,"l3_port_stalls":0,"#,
+    r#""dram_queue_stalls":0},"#,
+    r#""breakdown":{"retired":50000,"counts":{"eliminated misp.":1,"not delinquent":1}}"#
+);
+
+/// A cache file in the old shape has no value for the bin counters, so
+/// it loads as a miss (which `cache::load` warns about) rather than as a
+/// result whose bins read zero. The same cell in the current shape hits.
+#[test]
+fn stale_cache_body_loads_as_a_miss() {
+    let dir = std::env::temp_dir().join(format!("phelps-protocol-stale-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fingerprint = "serve|bfs|phelps|stale";
+    let path = cache::cell_path(&dir, fingerprint);
+    std::fs::write(
+        &path,
+        format!(r#"{{"fingerprint":"{fingerprint}",{STALE_BODY}}}"#),
+    )
+    .unwrap();
+    let stale = cache::load(&dir, fingerprint);
+    cache::store(&dir, fingerprint, &result());
+    let fresh = cache::load(&dir, fingerprint);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(stale.is_none(), "stale body loaded: {stale:?}");
+    assert_eq!(fresh.expect("current body loads").stats, result().stats);
+}
+
+/// A `result` frame in the old shape decodes to an error, not a panic
+/// and not a result whose bins read zero.
+#[test]
+fn stale_result_frame_decodes_to_an_error() {
+    let line = format!(r#"{{"type":"result","id":"r","dedup":"cached",{STALE_BODY}}}"#);
+    let err = parse_response(&line).unwrap_err();
+    assert!(err.contains("bad or missing stats"), "{err}");
 }

@@ -122,6 +122,33 @@ sim_stats! {
         pub l3_port_stalls: u64,
         /// Cycles of admission delay imposed by the DRAM queue.
         pub dram_queue_stalls: u64,
+        /// Fig. 14 "eliminated": correct queue-supplied predictions that
+        /// the default predictor would have got wrong (predictions, not
+        /// mispredictions). The `misp_*` bins below and
+        /// `mispredicts_from_queue` ("ht wrong outcome") split
+        /// `mt_mispredicts`: each misprediction lands in exactly one.
+        pub misp_eliminated: u64,
+        /// Mispredictions of a branch still being measured for delinquency.
+        pub misp_gathering_delinquency: u64,
+        /// Mispredictions of a delinquent branch whose helper thread is
+        /// being constructed.
+        pub misp_ht_being_constructed: u64,
+        /// Mispredictions of a delinquent branch whose loop was not chosen
+        /// for construction.
+        pub misp_ht_not_constructed: u64,
+        /// Mispredictions of a delinquent branch whose helper thread is
+        /// too big (or otherwise ineligible by size).
+        pub misp_ht_too_big: u64,
+        /// Mispredictions of a delinquent branch outside any detected loop.
+        pub misp_not_in_loop: u64,
+        /// Mispredictions of a delinquent branch whose loop iterates too
+        /// little per visit.
+        pub misp_not_iterating_enough: u64,
+        /// Mispredictions of a branch measured as not delinquent.
+        pub misp_not_delinquent: u64,
+        /// Mispredictions of a branch whose queue row the helper thread
+        /// had not filled in time.
+        pub misp_ht_untimely: u64,
     }
 }
 

@@ -14,7 +14,7 @@
 //!
 //! The returned [`SimPoint`]s carry the instruction offsets at which a
 //! timing simulation should start, plus weights for
-//! [`weighted_harmonic_mean_ipc`](phelps_uarch::stats::weighted_harmonic_mean_ipc).
+//! `phelps_uarch::stats::weighted_harmonic_mean_ipc`.
 
 use phelps_isa::Cpu;
 use std::collections::HashMap;

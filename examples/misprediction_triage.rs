@@ -23,7 +23,7 @@ fn triage(name: &str, cpu: Cpu) {
     let r = simulate(cpu, &cfg);
     println!("\n{name}: MPKI {:.1}", r.stats.mpki());
     for class in MispredictClass::all() {
-        let mpki = r.breakdown.mpki(class);
+        let mpki = class.mpki(&r.stats);
         if mpki > 0.005 {
             println!("  {:<40} {:>6.2} MPKI", class.label(), mpki);
         }

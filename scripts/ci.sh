@@ -13,8 +13,8 @@ cargo fmt --all --check
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (no-deps, -D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+echo "==> cargo doc (workspace, no-deps, -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
@@ -181,7 +181,7 @@ diff "$cold_out" "$warm_out" || {
     echo "ci.sh: restored simpoints run diverged from the cold run" >&2; exit 1; }
 diff "$cold_merged" "$warm_merged" || {
     echo "ci.sh: merged stats/telemetry depend on PHELPS_JOBS" >&2; exit 1; }
-grep -q '"schema":"phelps-simpoints-merged/2"' "$cold_merged" || {
+grep -q '"schema":"phelps-simpoints-merged/3"' "$cold_merged" || {
     echo "ci.sh: simpoints --merged-out JSON missing or malformed" >&2; exit 1; }
 [ "$(ckpt_field "$cold_err" saves)" -gt 0 ] || {
     echo "ci.sh: cold run saved no checkpoints" >&2; exit 1; }

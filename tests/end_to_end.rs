@@ -131,7 +131,7 @@ fn mcf_like_classified_not_in_loop() {
         &quick(Mode::Phelps(PhelpsFeatures::full())),
     );
     assert_eq!(r.stats.triggers, 0);
-    let not_in_loop = r.breakdown.mpki(MispredictClass::NotInLoop);
+    let not_in_loop = MispredictClass::NotInLoop.mpki(&r.stats);
     assert!(
         not_in_loop > 0.5 * r.stats.mpki(),
         "most mispredictions are 'not in loop': {not_in_loop} of {}",

@@ -75,6 +75,24 @@ fn golden_phelps_full_astar_small() {
     assert_eq!(r.stats.triggers, 35);
     assert_eq!(r.stats.preds_from_queue, 3_336);
     assert_eq!(r.stats.l1d_misses, 957);
+    // Fig. 14 classes; "ht wrong outcome" is `mispredicts_from_queue`.
+    let s = &r.stats;
+    assert_eq!(s.misp_eliminated, 548);
+    assert_eq!(s.misp_gathering_delinquency, 1_714);
+    assert_eq!(s.misp_ht_being_constructed, 1_599);
+    assert_eq!(s.misp_not_delinquent, 119);
+    assert_eq!(s.mispredicts_from_queue, 27);
+    assert_eq!(s.misp_ht_untimely, 194);
+    assert_eq!(
+        [
+            s.misp_ht_not_constructed,
+            s.misp_ht_too_big,
+            s.misp_not_in_loop,
+            s.misp_not_iterating_enough,
+        ],
+        [0; 4],
+        "unused classes"
+    );
 }
 
 /// Branch Runahead pin: the only golden run whose side threads execute
@@ -95,6 +113,23 @@ fn golden_branch_runahead_astar_small() {
     assert_eq!(r.stats.preds_from_queue, 3_764);
     assert_eq!(r.stats.mispredicts_from_queue, 180);
     assert_eq!(r.stats.l1d_misses, 962);
+    // Fig. 14 classes: BR knows no delinquency stages.
+    let s = &r.stats;
+    assert_eq!(s.misp_eliminated, 557);
+    assert_eq!(s.misp_not_delinquent, 3_522);
+    assert_eq!(s.misp_ht_untimely, 72);
+    assert_eq!(
+        [
+            s.misp_gathering_delinquency,
+            s.misp_ht_being_constructed,
+            s.misp_ht_not_constructed,
+            s.misp_ht_too_big,
+            s.misp_not_in_loop,
+            s.misp_not_iterating_enough,
+        ],
+        [0; 6],
+        "unused classes"
+    );
 }
 
 /// Region-restore pin: a W=0 checkpoint restore at instruction 50,000

@@ -114,6 +114,37 @@ fn epoch_deltas_partition_the_run() {
     }
 }
 
+/// The Fig. 14 classification law: every retired main-thread
+/// misprediction lands in exactly one residual class, with "ht wrong
+/// outcome" read as `mispredicts_from_queue`. Baseline has no engine,
+/// so every misprediction is "not delinquent" and none is eliminated.
+#[test]
+fn misprediction_classes_partition_the_mispredicts() {
+    use phelps_repro::phelps::classify::MispredictClass;
+    for name in ["baseline", "phelps", "br-spec"] {
+        let cpu = suite::astar_small().cpu;
+        let r = match name {
+            "baseline" => simulate(cpu, &quick(Mode::Baseline)),
+            "phelps" => simulate(cpu, &quick(Mode::Phelps(PhelpsFeatures::full()))),
+            _ => simulate_runahead(cpu, &quick(Mode::Baseline), BrVariant::Speculative),
+        };
+        let s = &r.stats;
+        assert!(s.mt_mispredicts > 0, "{name}: the kernel mispredicts");
+        let residual: u64 = MispredictClass::all()
+            .into_iter()
+            .filter(|c| *c != MispredictClass::Eliminated)
+            .map(|c| c.count(s))
+            .sum();
+        assert_eq!(residual, s.mt_mispredicts, "{name}: classes partition");
+        if name == "baseline" {
+            assert_eq!(s.misp_not_delinquent, s.mt_mispredicts);
+            assert_eq!(s.misp_eliminated, 0);
+        } else {
+            assert!(s.misp_eliminated > 0, "{name}: the engine eliminates some");
+        }
+    }
+}
+
 /// A traced co-run describes tenant 0 alone: tenant 1 never feeds the
 /// registry, and tenant 0's epochs sum to its own stats — including the
 /// shared-level fields, whose mid-run snapshots read the communal
