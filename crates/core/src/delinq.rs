@@ -109,8 +109,11 @@ impl Dbt {
         });
     }
 
-    /// A conditional branch retired. `mispredicted` is whether the
-    /// prediction consumed at fetch (from any source) was wrong.
+    /// A conditional branch retired. `mispredicted` is whether the default
+    /// predictor was wrong, whatever the main thread consumed at fetch
+    /// (the engines pass [`PreExecEngine::on_mt_retire`]'s `default_wrong`).
+    ///
+    /// [`PreExecEngine::on_mt_retire`]: crate::sim::PreExecEngine::on_mt_retire
     pub fn on_cond_branch_retire(&mut self, pc: u64, mispredicted: bool) {
         if mispredicted {
             if !self.entries.contains_key(&pc) && self.entries.len() >= self.capacity {

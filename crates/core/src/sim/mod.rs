@@ -21,10 +21,12 @@
 
 mod phelps_engine;
 mod pipeline;
+mod trainer;
 mod types;
 
 pub use phelps_engine::PhelpsEngine;
 pub use pipeline::{FinalState, Pipeline, SimResult, ThreadQuota};
+pub use trainer::{EpochEnd, Trainer};
 pub use types::{
     EngineCkpt, EngineCmd, ExecInfo, Mode, PhelpsFeatures, PreExecEngine, QueueLookup, RunConfig,
     SideAction, SideInst, SideKind, HT_A, HT_B, MT, NUM_THREADS,

@@ -4,21 +4,25 @@
 //! This implements [`PreExecEngine`] for the pipeline. Per epoch (paper
 //! §V-A): epoch N gathers delinquency in the DBT; at the epoch boundary the
 //! Loop Table is built and the most delinquent un-cached loop is chosen;
-//! epoch N+1 runs the [`Constructor`] over the retire stream; the finalized
-//! helper thread installs into the HTC and can trigger from epoch N+2 on.
+//! epoch N+1 runs the [`Constructor`](crate::construct::Constructor) over
+//! the retire stream; the finalized helper thread installs into the HTC
+//! and can trigger from epoch N+2 on. The [`Trainer`] runs that detection
+//! front end; this engine decides what it builds and what a finished
+//! helper thread becomes.
 
 use crate::classify::MispredictClass;
-use crate::construct::{ConstructionTarget, Constructor, ConstructorConfig, Ineligibility};
-use crate::delinq::{build_loop_table, Dbt, LoopBounds};
+use crate::construct::{ConstructionTarget, ConstructorConfig, Ineligibility};
+use crate::delinq::LoopBounds;
 use crate::htc::{HelperThread, HtKind, Htc, HtcEntry};
 use crate::predicate::PredSource;
 use crate::predq::PredictionQueues;
+use crate::sim::trainer::{live_in_moves, Trainer};
 use crate::sim::types::{
     EngineCkpt, EngineCmd, ExecInfo, PhelpsFeatures, PreExecEngine, QueueLookup, SideAction,
     SideInst, SideKind, HT_A, HT_B,
 };
 use crate::visitq::{Visit, VisitQueue, DEFAULT_VISITS};
-use phelps_isa::{AluOp, ExecRecord, Inst, Reg, NUM_REGS};
+use phelps_isa::{ExecRecord, Inst, Reg, NUM_REGS};
 use phelps_telemetry as tlm;
 use phelps_uarch::config::ActiveThreads;
 use std::collections::{HashMap, HashSet};
@@ -71,16 +75,11 @@ struct ActiveRun {
 #[derive(Debug)]
 pub struct PhelpsEngine {
     features: PhelpsFeatures,
-    epoch_len: u64,
-    delinq_threshold: u64,
     constructor_cfg: ConstructorConfig,
     /// Prediction-queue capacity in iterations (columns).
     queue_columns: usize,
-    dbt: Dbt,
-    epoch: u64,
-    epoch_insts: u64,
+    trainer: Trainer,
     htc: Htc,
-    constructor: Option<Constructor>,
     /// Branch PCs that ever cleared the delinquency threshold.
     delinquent_set: HashSet<u64>,
     /// Branch PCs measured over a full epoch without clearing it.
@@ -89,8 +88,6 @@ pub struct PhelpsEngine {
     ineligible: HashMap<LoopBounds, Ineligibility>,
     /// Loop-Table loops seen but not yet chosen for construction.
     detected_not_chosen: HashSet<LoopBounds>,
-    /// Shadow of the MT's retired register file (live-in capture).
-    mt_regs: [u64; NUM_REGS],
     /// Shadow register files of the side threads (visit live-in capture).
     side_regs: [[u64; NUM_REGS]; 2],
     active: Option<ActiveRun>,
@@ -100,7 +97,7 @@ impl PhelpsEngine {
     /// Seeds the main-thread architectural-register shadow (pre-loop setup
     /// state that no retired instruction will ever rewrite).
     pub fn seed_mt_regs(&mut self, regs: [u64; NUM_REGS]) {
-        self.mt_regs = regs;
+        self.trainer.seed_mt_regs(regs);
     }
 
     /// Overrides the prediction-queue capacity (columns; paper: 32).
@@ -119,20 +116,14 @@ impl PhelpsEngine {
     ) -> PhelpsEngine {
         PhelpsEngine {
             features,
-            epoch_len,
-            delinq_threshold,
             constructor_cfg,
             queue_columns: 32,
-            dbt: Dbt::new(256, 32),
-            epoch: 0,
-            epoch_insts: 0,
+            trainer: Trainer::new(epoch_len, delinq_threshold),
             htc: Htc::new(),
-            constructor: None,
             delinquent_set: HashSet::new(),
             measured_not_delinquent: HashSet::new(),
             ineligible: HashMap::new(),
             detected_not_chosen: HashSet::new(),
-            mt_regs: [0; NUM_REGS],
             side_regs: [[0; NUM_REGS]; 2],
             active: None,
         }
@@ -207,31 +198,10 @@ impl PhelpsEngine {
     // ------------------------------------------------------------------
 
     fn end_epoch(&mut self, cycle: u64) {
-        // Finalize any in-flight construction.
-        if let Some(c) = self.constructor.take() {
-            let bounds = c.target().bounds;
-            match c.finalize(self.epoch) {
-                Ok(entry) => {
-                    let entry = self.apply_features(entry);
-                    tlm::event(
-                        tlm::EventKind::HtcInstall,
-                        cycle,
-                        bounds.target_pc,
-                        self.epoch,
-                    );
-                    self.htc.install(entry);
-                    self.detected_not_chosen.remove(&bounds);
-                }
-                Err(reason) => {
-                    self.ineligible.insert(bounds, reason);
-                    self.detected_not_chosen.remove(&bounds);
-                }
-            }
-        }
-
         // Mark branches measured a full epoch without clearing the bar.
-        for (pc, misp) in self.dbt.ranking() {
-            if misp >= self.delinq_threshold {
+        let threshold = self.trainer.delinq_threshold();
+        for (pc, misp) in self.trainer.dbt().ranking() {
+            if misp >= threshold {
                 self.delinquent_set.insert(pc);
                 self.measured_not_delinquent.remove(&pc);
             } else if !self.delinquent_set.contains(&pc) {
@@ -239,33 +209,47 @@ impl PhelpsEngine {
             }
         }
 
-        // Build the Loop Table and choose the next construction target.
-        let lt = build_loop_table(&self.dbt, self.delinq_threshold, 8);
+        let end = self.trainer.close_epoch();
+        if let Some((bounds, built)) = end.built {
+            match built {
+                Ok(entry) => {
+                    let entry = self.apply_features(entry);
+                    tlm::event(
+                        tlm::EventKind::HtcInstall,
+                        cycle,
+                        bounds.target_pc,
+                        end.epoch,
+                    );
+                    self.htc.install(entry);
+                }
+                Err(reason) => {
+                    self.ineligible.insert(bounds, reason);
+                }
+            }
+            self.detected_not_chosen.remove(&bounds);
+        }
+
         let mut chosen = false;
-        for e in &lt {
+        for e in &end.loop_table {
             let known = self.htc.has_loop(e.bounds) || self.ineligible.contains_key(&e.bounds);
             if known {
                 continue;
             }
             if !chosen {
-                self.constructor = Some(Constructor::with_config(
+                self.trainer.construct(
                     ConstructionTarget {
                         bounds: e.bounds,
                         inner: e.inner,
                         delinquent: e.branches.clone(),
                     },
                     self.constructor_cfg.clone(),
-                ));
+                );
                 self.detected_not_chosen.remove(&e.bounds);
                 chosen = true;
             } else {
                 self.detected_not_chosen.insert(e.bounds);
             }
         }
-
-        self.dbt.reset_epoch();
-        self.epoch += 1;
-        self.epoch_insts = 0;
     }
 
     // ------------------------------------------------------------------
@@ -274,45 +258,26 @@ impl PhelpsEngine {
 
     fn start_run(&mut self, entry: HtcEntry) -> ActiveThreads {
         let nested = entry.is_nested();
-        let qa_rows: Vec<u64> = if nested {
-            entry.outer.as_ref().expect("nested").queue_rows.clone()
-        } else {
-            entry.inner.queue_rows.clone()
-        };
-        let qb_rows: Vec<u64> = if nested {
-            entry.inner.queue_rows.clone()
-        } else {
-            Vec::new()
-        };
-
-        let mut seq_a = SideSequencer::new(if nested {
-            entry.outer.clone().expect("nested")
-        } else {
-            entry.inner.clone()
-        });
-        // HT_A starts with its live-in moves immediately.
-        seq_a.state = SeqState::Moves(
-            self.live_in_moves(&seq_a.thread.live_ins_mt.clone(), true),
-            true,
-        );
-
+        // HT_A runs the outer-thread of a nested loop, else the
+        // inner-thread-only, and starts with its live-in moves at once.
+        let mut seq_a =
+            SideSequencer::new(entry.outer.clone().unwrap_or_else(|| entry.inner.clone()));
+        let moves = self.trainer.live_in_moves(&seq_a.thread.live_ins_mt, true);
+        seq_a.state = SeqState::Moves(moves, true);
         let seq_b = nested.then(|| {
             let mut s = SideSequencer::new(entry.inner.clone());
             // IT copies its MT live-ins at trigger, then idles for a visit.
-            let moves = self.live_in_moves(&s.thread.live_ins_mt.clone(), false);
-            s.state = if moves.is_empty() {
-                SeqState::Idle
-            } else {
-                SeqState::Moves(moves, false)
-            };
+            let moves = self.trainer.live_in_moves(&s.thread.live_ins_mt, false);
+            s.state = SeqState::Moves(moves, false);
             s
         });
 
         self.side_regs = [[0; NUM_REGS]; 2];
-        let columns = self.queue_columns;
+        let queues = |t: &HelperThread| PredictionQueues::new(&t.queue_rows, self.queue_columns);
+        let qb_thread = seq_b.as_ref().map(|s| &s.thread);
         self.active = Some(ActiveRun {
-            qa: PredictionQueues::new(&qa_rows, columns),
-            qb: (!qb_rows.is_empty()).then(|| PredictionQueues::new(&qb_rows, columns)),
+            qa: queues(&seq_a.thread),
+            qb: qb_thread.filter(|t| !t.queue_rows.is_empty()).map(queues),
             visitq: VisitQueue::new(DEFAULT_VISITS),
             seq_a,
             seq_b,
@@ -323,47 +288,6 @@ impl PhelpsEngine {
         } else {
             ActiveThreads::MainPlusIto
         }
-    }
-
-    /// Builds annotated live-in move instructions from the MT register
-    /// shadow. `release` marks the last move so MT fetch resumes on its
-    /// retirement; a dummy move is emitted when the set is empty.
-    fn live_in_moves(&self, regs: &[Reg], release: bool) -> Vec<SideInst> {
-        let mut moves: Vec<SideInst> = regs
-            .iter()
-            .map(|&r| SideInst {
-                pc: 0,
-                inst: Inst::Li {
-                    rd: r,
-                    imm: self.mt_regs[r.index()] as i64,
-                },
-                kind: SideKind::LiveInMove,
-                pred_src: PredSource::Always,
-                live_in_value: self.mt_regs[r.index()],
-                mt_release: false,
-                tag: 0,
-            })
-            .collect();
-        if release {
-            if moves.is_empty() {
-                moves.push(SideInst {
-                    pc: 0,
-                    inst: Inst::AluImm {
-                        op: AluOp::Add,
-                        rd: Reg::ZERO,
-                        rs1: Reg::ZERO,
-                        imm: 0,
-                    },
-                    kind: SideKind::LiveInMove,
-                    pred_src: PredSource::Always,
-                    live_in_value: 0,
-                    mt_release: false,
-                    tag: 0,
-                });
-            }
-            moves.last_mut().expect("nonempty").mt_release = true;
-        }
-        moves
     }
 }
 
@@ -424,38 +348,17 @@ impl PreExecEngine for PhelpsEngine {
     }
 
     fn on_mt_retire(&mut self, rec: &ExecRecord, default_wrong: bool, cycle: u64) -> EngineCmd {
-        // Shadow architectural state.
-        if let Some(dst) = rec.inst.dst() {
-            self.mt_regs[dst.index()] = rec.rd_value;
-        }
-
-        // Delinquency training. Loop-bounds training must see the *previous*
-        // backward branch (a backward branch's own retirement trains it
-        // against the enclosing loop, not itself), so the entry update
-        // precedes the backward-branch bookkeeping.
-        if let Inst::Branch { target, .. } = rec.inst {
-            self.dbt.on_cond_branch_retire(rec.pc, default_wrong);
-            if target < rec.pc {
-                self.dbt.on_backward_branch(rec.pc, target);
-            }
-            if default_wrong {
-                if let Some(e) = self.dbt.entry(rec.pc) {
-                    if e.misp >= self.delinq_threshold {
-                        self.delinquent_set.insert(rec.pc);
-                        self.measured_not_delinquent.remove(&rec.pc);
-                    }
-                }
+        let epoch_ends = self.trainer.on_retire(rec, default_wrong);
+        // A branch is delinquent as soon as it clears the bar, read from
+        // this epoch's counts before an epoch end resets them.
+        if default_wrong && matches!(rec.inst, Inst::Branch { .. }) {
+            let misp = self.trainer.dbt().entry(rec.pc).map(|e| e.misp);
+            if misp.is_some_and(|m| m >= self.trainer.delinq_threshold()) {
+                self.delinquent_set.insert(rec.pc);
+                self.measured_not_delinquent.remove(&rec.pc);
             }
         }
-
-        // Construction.
-        if let Some(c) = self.constructor.as_mut() {
-            c.on_retire(rec);
-        }
-
-        // Epoch boundary.
-        self.epoch_insts += 1;
-        if self.epoch_insts >= self.epoch_len {
+        if epoch_ends {
             self.end_epoch(cycle);
         }
 
@@ -487,14 +390,10 @@ impl PreExecEngine for PhelpsEngine {
         }
 
         // Trigger check: MT retired the loop's start PC.
-        if self.htc.lookup(rec.pc).is_some() {
-            let mut entry = self.htc.lookup(rec.pc).expect("just found").clone();
-            entry.last_trigger_epoch = self.epoch;
-            if let Some(slot) = self.htc.lookup_mut(rec.pc) {
-                slot.last_trigger_epoch = self.epoch;
-            }
-            let threads = self.start_run(entry);
-            return EngineCmd::Trigger(threads);
+        if let Some(slot) = self.htc.lookup_mut(rec.pc) {
+            slot.last_trigger_epoch = self.trainer.epoch();
+            let entry = slot.clone();
+            return EngineCmd::Trigger(self.start_run(entry));
         }
         EngineCmd::None
     }
@@ -527,17 +426,15 @@ impl PreExecEngine for PhelpsEngine {
             }
         }
         if self.delinquent_set.contains(&pc) {
-            let Some(entry) = self.dbt.entry(pc) else {
+            let Some(entry) = self.trainer.dbt().entry(pc) else {
                 return MispredictClass::GatheringDelinquency; // evicted
             };
             let Some(inner) = entry.inner else {
                 return MispredictClass::NotInLoop;
             };
             let outermost = entry.outer.unwrap_or(inner);
-            if let Some(c) = self.constructor.as_ref() {
-                if c.target().bounds == outermost {
-                    return MispredictClass::HtBeingConstructed;
-                }
+            if self.trainer.constructing() == Some(outermost) {
+                return MispredictClass::HtBeingConstructed;
             }
             if let Some(reason) = self.ineligible.get(&outermost) {
                 return match reason {
@@ -606,27 +503,7 @@ impl PreExecEngine for PhelpsEngine {
                     // Inner-thread: wait for a visit.
                     match run.visitq.dequeue() {
                         Some(v) => {
-                            let mvs: Vec<SideInst> = v
-                                .live_ins
-                                .iter()
-                                .map(|&(r, val)| SideInst {
-                                    pc: 0,
-                                    inst: Inst::Li {
-                                        rd: r,
-                                        imm: val as i64,
-                                    },
-                                    kind: SideKind::LiveInMove,
-                                    pred_src: PredSource::Always,
-                                    live_in_value: val,
-                                    mt_release: false,
-                                    tag: seqr.iteration,
-                                })
-                                .collect();
-                            if mvs.is_empty() {
-                                seqr.state = SeqState::Run { idx: 0 };
-                            } else {
-                                seqr.state = SeqState::Moves(mvs, true);
-                            }
+                            seqr.state = SeqState::Moves(live_in_moves(v.live_ins, false), true);
                             continue;
                         }
                         None => return None,
@@ -654,7 +531,6 @@ impl PreExecEngine for PhelpsEngine {
                         inst: ht.inst,
                         kind: ht.kind.into(),
                         pred_src: ht.pred_src,
-                        live_in_value: 0,
                         mt_release: false,
                         tag: seqr.iteration,
                     };

@@ -202,20 +202,8 @@ impl<E: PreExecEngine> Pipeline<E> {
 
         match inst {
             Inst::Alu { op, .. } => result = op.eval(vals[0], vals[1]),
-            Inst::AluImm { op, imm, .. } => {
-                if side.kind == SideKind::LiveInMove {
-                    result = side.live_in_value;
-                } else {
-                    result = op.eval(vals[0], imm as i64 as u64);
-                }
-            }
-            Inst::Li { imm, .. } => {
-                result = if side.kind == SideKind::LiveInMove {
-                    side.live_in_value
-                } else {
-                    imm as u64
-                };
-            }
+            Inst::AluImm { op, imm, .. } => result = op.eval(vals[0], imm as i64 as u64),
+            Inst::Li { imm, .. } => result = imm as u64,
             Inst::Load {
                 width,
                 signed,

@@ -33,8 +33,6 @@ pub enum SideKind {
     LoopBranch,
     /// Inner-loop header branch in the outer-thread.
     HeaderBranch,
-    /// Live-in move carrying its value directly.
-    LiveInMove,
 }
 
 impl From<HtKind> for SideKind {
@@ -49,10 +47,15 @@ impl From<HtKind> for SideKind {
     }
 }
 
-/// One instruction supplied by a pre-execution engine for a side thread.
+/// One instruction supplied by a pre-execution engine for a side thread:
+/// a helper-thread or chain instruction, or a live-in move. A live-in move
+/// is a plain `Li rd, value` with PC 0 and [`SideKind::Plain`], built by
+/// [`Trainer::live_in_moves`](crate::sim::Trainer::live_in_moves); the
+/// pipeline executes it like any other `Li`.
 #[derive(Clone, Copy, Debug)]
 pub struct SideInst {
-    /// Original main-thread PC (identity for queues and stats).
+    /// Original main-thread PC (identity for queues and stats); 0 for a
+    /// live-in move.
     pub pc: u64,
     /// The operation.
     pub inst: Inst,
@@ -60,8 +63,6 @@ pub struct SideInst {
     pub kind: SideKind,
     /// Predicate source operand.
     pub pred_src: PredSource,
-    /// For [`SideKind::LiveInMove`]: the value to write.
-    pub live_in_value: u64,
     /// When `true`, the main thread's fetch resumes once this instruction
     /// retires (the last live-in move of a trigger).
     pub mt_release: bool,
@@ -145,9 +146,14 @@ pub trait PreExecEngine {
     /// Misprediction recovery: restore consumption state.
     fn restore(&mut self, ckpt: &EngineCkpt);
 
-    /// A main-thread instruction retired. `mispredicted` applies to
-    /// conditional branches. Returns a control command.
-    fn on_mt_retire(&mut self, rec: &ExecRecord, mispredicted: bool, cycle: u64) -> EngineCmd;
+    /// A main-thread instruction retired. `default_wrong` is whether the
+    /// default predictor's prediction for a conditional branch was wrong,
+    /// whatever the main thread actually consumed at fetch (a queue
+    /// outcome may have overridden it): the DBT trains on the default
+    /// predictor, so a branch whose mispredictions pre-execution removes
+    /// stays delinquent. It is `false` for every other instruction.
+    /// Returns a control command.
+    fn on_mt_retire(&mut self, rec: &ExecRecord, default_wrong: bool, cycle: u64) -> EngineCmd;
 
     /// Classifies a retired main-thread misprediction (Fig. 14) or a
     /// correct queue-supplied prediction (`Eliminated` when the default
@@ -253,6 +259,10 @@ impl PhelpsFeatures {
     }
 }
 
+/// A branch is delinquent at this many mispredictions per thousand
+/// instructions of an epoch (paper §V-B: 0.5 MPKI).
+const DELINQ_THRESHOLD_MPKI: f64 = 0.5;
+
 /// Full run configuration.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
@@ -265,9 +275,6 @@ pub struct RunConfig {
     /// Epoch length in retired main-thread instructions (paper: 4M;
     /// experiments scale this down).
     pub epoch_len: u64,
-    /// Delinquency threshold in mispredictions per kilo-instruction of the
-    /// epoch (paper: 0.5).
-    pub delinq_threshold_mpki: f64,
     /// Construction hardware limits.
     pub constructor: ConstructorConfig,
     /// Prediction-queue capacity in iterations (columns; paper: 32).
@@ -285,21 +292,6 @@ impl RunConfig {
             mode,
             max_mt_insts: 2_000_000,
             epoch_len: 200_000,
-            delinq_threshold_mpki: 0.5,
-            constructor: ConstructorConfig::default(),
-            queue_columns: 32,
-            store_cache_sets: 16,
-        }
-    }
-
-    /// The paper's full-scale parameters (4M epochs, 100M regions).
-    pub fn paper(mode: Mode) -> RunConfig {
-        RunConfig {
-            core: CoreConfig::paper_default(),
-            mode,
-            max_mt_insts: 100_000_000,
-            epoch_len: 4_000_000,
-            delinq_threshold_mpki: 0.5,
             constructor: ConstructorConfig::default(),
             queue_columns: 32,
             store_cache_sets: 16,
@@ -316,9 +308,10 @@ impl RunConfig {
         c
     }
 
-    /// The delinquency threshold in absolute mispredictions per epoch.
+    /// The delinquency threshold in absolute mispredictions per epoch:
+    /// the paper's 0.5 MPKI of [`RunConfig::epoch_len`], at least 1.
     pub fn delinq_threshold(&self) -> u64 {
-        ((self.delinq_threshold_mpki * self.epoch_len as f64) / 1000.0).max(1.0) as u64
+        ((DELINQ_THRESHOLD_MPKI * self.epoch_len as f64) / 1000.0).max(1.0) as u64
     }
 }
 
@@ -328,7 +321,7 @@ mod tests {
 
     #[test]
     fn threshold_matches_paper_scale() {
-        let cfg = RunConfig::paper(Mode::Baseline);
+        let cfg = RunConfig::quick(Mode::Baseline, 100_000_000, 4_000_000);
         assert_eq!(cfg.delinq_threshold(), 2000, "0.5 MPKI of 4M = 2000");
         let cfg = RunConfig::scaled(Mode::Baseline);
         assert_eq!(cfg.delinq_threshold(), 100);

@@ -16,17 +16,21 @@
 //!   (Fig. 10b).
 //! * **Stores are excluded** (the paper's §VI methodology for BR).
 //! * The frontend/PRF/LQ partition is held for the **full run**.
+//!
+//! Delinquency detection is Phelps' own: the engine holds a
+//! [`Trainer`], and builds a [`ChainSet`] from each helper thread it
+//! finishes.
 
 use crate::chains::ChainSet;
 use phelps::classify::MispredictClass;
-use phelps::construct::{ConstructionTarget, Constructor, ConstructorConfig};
-use phelps::delinq::{build_loop_table, Dbt, LoopBounds};
+use phelps::construct::{ConstructionTarget, ConstructorConfig};
+use phelps::delinq::LoopBounds;
 use phelps::predicate::PredSource;
 use phelps::sim::{
     EngineCkpt, EngineCmd, ExecInfo, PreExecEngine, QueueLookup, SideAction, SideInst, SideKind,
-    HT_A,
+    Trainer, HT_A,
 };
-use phelps_isa::{ExecRecord, Inst, Reg, NUM_REGS};
+use phelps_isa::{ExecRecord, Reg, NUM_REGS};
 use phelps_uarch::bpred::{Bimodal, DirectionPredictor};
 use phelps_uarch::config::ActiveThreads;
 use std::collections::HashMap;
@@ -170,14 +174,10 @@ impl BrConfig {
 #[derive(Debug)]
 pub struct BrEngine {
     cfg: BrConfig,
-    dbt: Dbt,
-    epoch_insts: u64,
-    epoch: u64,
-    constructor: Option<Constructor>,
+    trainer: Trainer,
     /// Built chain sets by loop start PC.
     cached: HashMap<u64, (LoopBounds, ChainSet)>,
     bimodal: Bimodal,
-    mt_regs: [u64; NUM_REGS],
     active: Option<ActiveChains>,
 }
 
@@ -186,20 +186,16 @@ impl BrEngine {
     pub fn new(cfg: BrConfig) -> BrEngine {
         BrEngine {
             cfg,
-            dbt: Dbt::new(256, 32),
-            epoch_insts: 0,
-            epoch: 0,
-            constructor: None,
+            trainer: Trainer::new(cfg.epoch_len, cfg.delinq_threshold),
             cached: HashMap::new(),
             bimodal: Bimodal::new(8192),
-            mt_regs: [0; NUM_REGS],
             active: None,
         }
     }
 
     /// Seeds the main-thread register shadow with pre-run state.
     pub fn seed_mt_regs(&mut self, regs: [u64; NUM_REGS]) {
-        self.mt_regs = regs;
+        self.trainer.seed_mt_regs(regs);
     }
 
     /// Number of loops with built chains.
@@ -208,24 +204,21 @@ impl BrEngine {
     }
 
     fn end_epoch(&mut self) {
-        if let Some(c) = self.constructor.take() {
-            let bounds = c.target().bounds;
-            if let Ok(entry) = c.finalize(self.epoch) {
-                let thread = entry.inner;
-                let chains = ChainSet::from_helper_thread(&thread);
-                if !chains.chains.is_empty() {
-                    self.cached.insert(bounds.target_pc, (bounds, chains));
-                }
+        let end = self.trainer.close_epoch();
+        if let Some((bounds, Ok(entry))) = end.built {
+            let chains = ChainSet::from_helper_thread(&entry.inner);
+            if !chains.chains.is_empty() {
+                self.cached.insert(bounds.target_pc, (bounds, chains));
             }
         }
-        let lt = build_loop_table(&self.dbt, self.cfg.delinq_threshold, 8);
-        for e in &lt {
-            if self.cached.contains_key(&e.bounds.target_pc) {
-                continue;
-            }
+        let next = end
+            .loop_table
+            .iter()
+            .find(|e| !self.cached.contains_key(&e.bounds.target_pc));
+        if let Some(e) = next {
             // BR is not loop-gated: permissive limits, flattened region
             // (no dual threads), stores dropped afterwards.
-            self.constructor = Some(Constructor::with_config(
+            self.trainer.construct(
                 ConstructionTarget {
                     bounds: e.bounds,
                     inner: None,
@@ -237,12 +230,8 @@ impl BrEngine {
                     max_mt_live_ins: 16,
                     ..ConstructorConfig::default()
                 },
-            ));
-            break;
+            );
         }
-        self.dbt.reset_epoch();
-        self.epoch += 1;
-        self.epoch_insts = 0;
     }
 
     fn start_run(&mut self, start_pc: u64) {
@@ -253,7 +242,7 @@ impl BrEngine {
             .map(|&pc| (pc, OutcomeQueue::default()))
             .collect();
         // Live-in moves from the MT shadow.
-        let moves = build_moves(&chains_live_ins(&chains), &self.mt_regs);
+        let moves = self.trainer.live_in_moves(&chains_live_ins(&chains), true);
         self.active = Some(ActiveChains {
             bounds,
             chains,
@@ -345,40 +334,6 @@ fn chains_live_ins(chains: &ChainSet) -> Vec<Reg> {
     live
 }
 
-fn build_moves(regs: &[Reg], mt_regs: &[u64; NUM_REGS]) -> Vec<SideInst> {
-    let mut moves: Vec<SideInst> = regs
-        .iter()
-        .map(|&r| SideInst {
-            pc: 0,
-            inst: Inst::Li {
-                rd: r,
-                imm: mt_regs[r.index()] as i64,
-            },
-            kind: SideKind::LiveInMove,
-            pred_src: PredSource::Always,
-            live_in_value: mt_regs[r.index()],
-            mt_release: false,
-            tag: 0,
-        })
-        .collect();
-    if moves.is_empty() {
-        moves.push(SideInst {
-            pc: 0,
-            inst: Inst::Li {
-                rd: Reg::ZERO,
-                imm: 0,
-            },
-            kind: SideKind::LiveInMove,
-            pred_src: PredSource::Always,
-            live_in_value: 0,
-            mt_release: false,
-            tag: 0,
-        });
-    }
-    moves.last_mut().expect("nonempty").mt_release = true;
-    moves
-}
-
 impl PreExecEngine for BrEngine {
     fn queue_lookup(&mut self, pc: u64) -> QueueLookup {
         let Some(run) = self.active.as_mut() else {
@@ -438,20 +393,7 @@ impl PreExecEngine for BrEngine {
     }
 
     fn on_mt_retire(&mut self, rec: &ExecRecord, default_wrong: bool, _cycle: u64) -> EngineCmd {
-        if let Some(dst) = rec.inst.dst() {
-            self.mt_regs[dst.index()] = rec.rd_value;
-        }
-        if let Inst::Branch { target, .. } = rec.inst {
-            self.dbt.on_cond_branch_retire(rec.pc, default_wrong);
-            if target < rec.pc {
-                self.dbt.on_backward_branch(rec.pc, target);
-            }
-        }
-        if let Some(c) = self.constructor.as_mut() {
-            c.on_retire(rec);
-        }
-        self.epoch_insts += 1;
-        if self.epoch_insts >= self.cfg.epoch_len {
+        if self.trainer.on_retire(rec, default_wrong) {
             self.end_epoch();
         }
 
@@ -544,7 +486,6 @@ impl PreExecEngine for BrEngine {
             } else {
                 ht.pred_src
             },
-            live_in_value: 0,
             mt_release: false,
             tag: iter,
         };

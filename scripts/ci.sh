@@ -13,6 +13,11 @@ cargo fmt --all --check
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy (workspace, debug-invariants, -D warnings)"
+# The pipeline's per-cycle assertions compile only under this feature.
+cargo clippy --workspace --all-targets --features phelps-verify/debug-invariants \
+    -- -D warnings
+
 echo "==> cargo doc (workspace, no-deps, -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
