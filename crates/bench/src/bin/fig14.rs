@@ -7,7 +7,8 @@
 //!
 //! Paper shape: Phelps eliminates most mispredictions in bc, bfs, pr, cc,
 //! astar; mcf's are "not in loop" (non-inlined callee); leela's are
-//! spread thin ("not delinquent"); gcc thrashes the DBT ("gathering");
+//! spread thin ("not delinquent"); gcc's branches never finish
+//! "gathering" (the paper: a thrashed DBT; here: a full DBT-Max);
 //! xz's loops don't iterate enough; omnetpp's helper thread is too big.
 
 use phelps::classify::MispredictClass;

@@ -42,7 +42,7 @@ struct EvalRun {
 /// worker counts by construction — the sharded-equals-sequential CI
 /// check diffs two of these files.
 fn merged_json(runs: &[EvalRun]) -> String {
-    let mut j = String::from("{\"schema\":\"phelps-simpoints-merged/3\",\"runs\":[");
+    let mut j = String::from("{\"schema\":\"phelps-simpoints-merged/4\",\"runs\":[");
     let mut first = true;
     for er in runs {
         let Some(merged) = er.run.merged.as_ref() else {

@@ -28,11 +28,11 @@
 //! so parallel workers never mix epoch series) and write the harvested
 //! reports to `<path>` as one JSON document (`{"runs": [...]}`), plus
 //! the per-epoch series of every run as a sibling CSV, in cell
-//! submission order regardless of the worker count.
-//! `PHELPS_TRACE_VERBOSE=1` additionally records high-frequency events
-//! (per-mispredict, per-DRAM-miss). See DESIGN.md's telemetry section
-//! for the schema. Tracing forces every cell to simulate (telemetry is
-//! never served from the cache).
+//! submission order regardless of the worker count. Each run's series is
+//! its `SimStats`, one delta per epoch of `PHELPS_EPOCH` retired
+//! instructions; see DESIGN.md's telemetry section for the schema.
+//! Tracing forces every cell to simulate (telemetry is never served from
+//! the cache).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -403,7 +403,6 @@ impl Experiment {
         let slots: Vec<Mutex<Option<Cell>>> =
             kept.into_iter().map(|c| Mutex::new(Some(c))).collect();
         let epoch_len = crate::epoch_len();
-        let verbose = std::env::var("PHELPS_TRACE_VERBOSE").is_ok_and(|v| v != "0");
 
         // Every kept cell goes through the shared execution path (cache +
         // locks + telemetry); the pool returns outcomes in index order,
@@ -426,7 +425,6 @@ impl Experiment {
                 write_cache,
                 telemetry: want_telemetry.then(|| tlm::Config {
                     epoch_len,
-                    verbose,
                     label: format!("{}/{}", cell.workload, cell.config),
                     ..tlm::Config::default()
                 }),

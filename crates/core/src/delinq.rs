@@ -117,8 +117,11 @@ impl Dbt {
     pub fn on_cond_branch_retire(&mut self, pc: u64, mispredicted: bool) {
         if mispredicted {
             if !self.entries.contains_key(&pc) && self.entries.len() >= self.capacity {
-                // Fully-associative table is full: evict the coldest entry.
-                if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, e)| e.misp) {
+                // Fully-associative table is full: evict the coldest entry,
+                // the lowest PC among equals, so the victim never depends
+                // on the map's iteration order.
+                let coldest = self.entries.iter().min_by_key(|&(&pc, e)| (e.misp, pc));
+                if let Some((&victim, _)) = coldest {
                     self.entries.remove(&victim);
                     self.max.retain(|(p, _)| *p != victim);
                     self.evictions += 1;
@@ -364,6 +367,26 @@ mod tests {
         assert!(dbt.entry(0).is_none());
         assert!(dbt.entry(0x100).is_some());
         assert_eq!(dbt.evictions, 1);
+    }
+
+    #[test]
+    fn eviction_ties_go_to_the_lowest_pc() {
+        let mut dbt = Dbt::new(64, 4);
+        // Insert in a scrambled order so neither insertion order nor the
+        // map's layout lines up with PC order.
+        for i in 0..64u64 {
+            dbt.on_cond_branch_retire(0x1000 + 4 * ((i * 37) % 64), true);
+        }
+        dbt.on_cond_branch_retire(0x9000, true);
+        assert!(dbt.entry(0x1000).is_none(), "lowest of 64 one-count PCs");
+        assert!(dbt.entry(0x1004).is_some() && dbt.entry(0x9000).is_some());
+        // After an epoch reset every count is 0: the tie again goes to the
+        // lowest resident PC.
+        dbt.reset_epoch();
+        dbt.on_cond_branch_retire(0xa000, true);
+        assert!(dbt.entry(0x1004).is_none());
+        assert!(dbt.entry(0x1008).is_some() && dbt.entry(0xa000).is_some());
+        assert_eq!(dbt.evictions, 1, "the reset cleared the first");
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::sim::types::{
 };
 use crate::visitq::{Visit, VisitQueue, DEFAULT_VISITS};
 use phelps_isa::{ExecRecord, Inst, Reg, NUM_REGS};
-use phelps_telemetry as tlm;
 use phelps_uarch::config::ActiveThreads;
 use std::collections::{HashMap, HashSet};
 
@@ -197,7 +196,7 @@ impl PhelpsEngine {
     // Epoch machinery
     // ------------------------------------------------------------------
 
-    fn end_epoch(&mut self, cycle: u64) {
+    fn end_epoch(&mut self) {
         // Mark branches measured a full epoch without clearing the bar.
         let threshold = self.trainer.delinq_threshold();
         for (pc, misp) in self.trainer.dbt().ranking() {
@@ -214,12 +213,6 @@ impl PhelpsEngine {
             match built {
                 Ok(entry) => {
                     let entry = self.apply_features(entry);
-                    tlm::event(
-                        tlm::EventKind::HtcInstall,
-                        cycle,
-                        bounds.target_pc,
-                        end.epoch,
-                    );
                     self.htc.install(entry);
                 }
                 Err(reason) => {
@@ -347,7 +340,7 @@ impl PreExecEngine for PhelpsEngine {
         }
     }
 
-    fn on_mt_retire(&mut self, rec: &ExecRecord, default_wrong: bool, cycle: u64) -> EngineCmd {
+    fn on_mt_retire(&mut self, rec: &ExecRecord, default_wrong: bool, _cycle: u64) -> EngineCmd {
         let epoch_ends = self.trainer.on_retire(rec, default_wrong);
         // A branch is delinquent as soon as it clears the bar, read from
         // this epoch's counts before an epoch end resets them.
@@ -359,7 +352,7 @@ impl PreExecEngine for PhelpsEngine {
             }
         }
         if epoch_ends {
-            self.end_epoch(cycle);
+            self.end_epoch();
         }
 
         // Active-run bookkeeping.
@@ -610,16 +603,11 @@ impl PreExecEngine for PhelpsEngine {
                         .map(|&r| (r, self.side_regs[HT_A - 1][r.index()]))
                         .collect();
                     run.visitq.enqueue(Visit { live_ins });
-                    tlm::gauge(tlm::Gauge::VisitQueueDepth, run.visitq.len() as u64);
                 }
             }
             SideKind::LoopBranch => {
                 q.deposit(inst.pc, info.taken);
                 q.advance_tail();
-                tlm::gauge(
-                    tlm::Gauge::PredQueueDepth,
-                    q.tail().saturating_sub(q.head()),
-                );
             }
             _ => {}
         }

@@ -282,7 +282,7 @@ impl<E: PreExecEngine> Pipeline<E> {
         match action {
             SideAction::Continue => {}
             SideAction::SquashYounger => self.ctx.squash_side_from(tid, seq + 1),
-            SideAction::Terminate => self.terminate_preexec(0),
+            SideAction::Terminate => self.terminate_preexec(),
         }
     }
 }

@@ -382,8 +382,6 @@ struct SimContext {
     cycle: u64,
     /// Engine-triggered state.
     preexec_active: bool,
-    /// Cycle of the most recent trigger (telemetry: trigger-span hist).
-    trigger_cycle: u64,
     /// Outstanding `mt_release` move.
     mt_release_pending: bool,
     max_mt_insts: u64,
@@ -461,7 +459,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             next_seq: 0,
             cycle: 0,
             preexec_active: false,
-            trigger_cycle: 0,
             mt_release_pending: false,
             max_mt_insts,
             stats: SimStats::new(),
@@ -611,11 +608,6 @@ impl<E: PreExecEngine> Pipeline<E> {
 
     fn step_cycle(&mut self) {
         self.ctx.cycle += 1;
-        if tlm::enabled() {
-            let t = &self.ctx.threads[MT];
-            tlm::gauge(tlm::Gauge::RobOccupancy, t.rob.len() as u64);
-            tlm::gauge(tlm::Gauge::LsqOccupancy, u64::from(t.lq_used + t.sq_used));
-        }
         self.retire();
         if self.ctx.finished {
             return;

@@ -92,7 +92,6 @@ impl<E: PreExecEngine> Pipeline<E> {
             default_wrong = di.default_pred.unwrap_or(rec.taken) != rec.taken;
             if di.mispredicted {
                 self.ctx.stats.mt_mispredicts += 1;
-                tlm::event(tlm::EventKind::Mispredict, self.ctx.cycle, rec.pc, 0);
                 if di.pred_from == PredFrom::Queue {
                     self.ctx.stats.mispredicts_from_queue += 1;
                 }
@@ -133,8 +132,8 @@ impl<E: PreExecEngine> Pipeline<E> {
         }
         match cmd {
             EngineCmd::None => {}
-            EngineCmd::Trigger(active) => self.trigger_preexec(active, rec.pc),
-            EngineCmd::Terminate => self.terminate_preexec(rec.pc),
+            EngineCmd::Trigger(active) => self.trigger_preexec(active),
+            EngineCmd::Terminate => self.terminate_preexec(),
         }
 
         if matches!(rec.inst, Inst::Halt) || self.ctx.stats.mt_retired >= self.ctx.max_mt_insts {

@@ -5,7 +5,6 @@
 use super::{Pipeline, SimContext, Stage};
 use crate::sim::types::{PreExecEngine, HT_A, HT_B, MT};
 use phelps_isa::{ExecRecord, NUM_REGS};
-use phelps_telemetry as tlm;
 use phelps_uarch::bpred::DirectionPredictor;
 use phelps_uarch::config::ActiveThreads;
 
@@ -69,15 +68,11 @@ impl<E: PreExecEngine> Pipeline<E> {
     // Trigger / terminate
     // ------------------------------------------------------------------
 
-    /// `pc` is the retiring instruction that carried the engine command
-    /// (telemetry only; 0 when unknown).
-    pub(super) fn trigger_preexec(&mut self, active: ActiveThreads, pc: u64) {
+    pub(super) fn trigger_preexec(&mut self, active: ActiveThreads) {
         if self.ctx.preexec_active {
             return;
         }
         self.ctx.stats.triggers += 1;
-        tlm::event(tlm::EventKind::Trigger, self.ctx.cycle, pc, 0);
-        self.ctx.trigger_cycle = self.ctx.cycle;
         self.ctx.preexec_active = true;
         // Squash MT in-flight (paper §V-F step 1) and repartition.
         let from = self.ctx.threads[MT].rob.front().copied();
@@ -97,16 +92,11 @@ impl<E: PreExecEngine> Pipeline<E> {
         }
     }
 
-    pub(super) fn terminate_preexec(&mut self, pc: u64) {
+    pub(super) fn terminate_preexec(&mut self) {
         if !self.ctx.preexec_active {
             return;
         }
         self.ctx.stats.terminations += 1;
-        tlm::event(tlm::EventKind::Terminate, self.ctx.cycle, pc, 0);
-        tlm::hist(
-            tlm::Hist::TriggerSpanCycles,
-            self.ctx.cycle.saturating_sub(self.ctx.trigger_cycle),
-        );
         self.ctx.preexec_active = false;
         for tid in [HT_A, HT_B] {
             while let Some(&s) = self.ctx.threads[tid].rob.front() {

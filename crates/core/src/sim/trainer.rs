@@ -23,8 +23,6 @@ const LOOP_TABLE_ENTRIES: usize = 8;
 /// What closing an epoch hands the engine.
 #[derive(Debug)]
 pub struct EpochEnd {
-    /// The epoch that closed.
-    pub epoch: u64,
     /// The loop the constructor ran over during the epoch, with its
     /// finished helper thread or the reason the loop is ineligible;
     /// `None` when nothing was under construction.
@@ -128,11 +126,7 @@ impl Trainer {
         self.dbt.reset_epoch();
         self.epoch += 1;
         self.epoch_insts = 0;
-        EpochEnd {
-            epoch,
-            built,
-            loop_table,
-        }
+        EpochEnd { built, loop_table }
     }
 
     /// Builds a helper thread for `target` over the coming epoch.
@@ -227,7 +221,7 @@ mod tests {
                 "counts kept until closed"
             );
             let closed = t.close_epoch();
-            assert_eq!(closed.epoch, ends.len() as u64 - 1);
+            assert_eq!(t.epoch(), ends.len() as u64);
             assert_eq!(closed.loop_table.len(), 1, "the branch is delinquent");
             assert_eq!(t.dbt().entry(0x108).unwrap().misp, 0);
             assert!(t.dbt().ranking().is_empty());

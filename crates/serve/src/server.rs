@@ -636,7 +636,6 @@ fn run_job(shared: &Arc<Shared>, job: Job, ticket: Option<u64>) {
             epoch_len: job.run_cfg.epoch_len,
             label: format!("serve/{}/{}", job.workload, job.mode_label),
             epoch_sink: Some(sink),
-            ..tlm::Config::default()
         }),
     };
     // Route through the sharded engine: with `shards <= 1` it degrades

@@ -25,8 +25,6 @@ fn sample() -> EpochSample {
             mt_fetch_stall_ifetch: 120,
             ..SimStats::default()
         },
-        avg_rob: 96.5,
-        avg_pred_queue: 3.25,
     }
 }
 
@@ -120,8 +118,7 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
                 r#""dram_queue_stalls":0,"misp_eliminated":0,"misp_gathering_delinquency":0,"#,
                 r#""misp_ht_being_constructed":0,"misp_ht_not_constructed":0,"#,
                 r#""misp_ht_too_big":0,"misp_not_in_loop":0,"misp_not_iterating_enough":0,"#,
-                r#""misp_not_delinquent":0,"misp_ht_untimely":0},"#,
-                r#""avg_rob":96.500000,"avg_pred_queue":3.250000}"#
+                r#""misp_not_delinquent":0,"misp_ht_untimely":0}}"#
             ),
         ),
     ]

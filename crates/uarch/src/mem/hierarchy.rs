@@ -27,7 +27,6 @@
 
 use crate::config::CoreConfig;
 use crate::mem::{Cache, IpcpPrefetcher, MemRequest, Port, Probe, ReqKind, Uncore};
-use phelps_telemetry as tlm;
 
 /// Outcome of a demand access, for statistics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,8 +48,6 @@ pub struct AccessResult {
     pub done_cycle: u64,
     /// Deepest level the access had to travel to.
     pub level: AccessLevel,
-    /// Whether the L1 hit was the first demand touch of a prefetched block.
-    pub l1_prefetch_hit: bool,
 }
 
 /// The simulated cache hierarchy (fetch + demand paths, ports,
@@ -181,180 +178,35 @@ impl MemoryHierarchy {
     /// of every level it touches, fills caches on the way back, trains
     /// the prefetchers, and returns when (and from where) it completes.
     ///
-    /// MSHR exhaustion at the entry level adds a retry penalty rather than
-    /// blocking the caller, keeping the interface non-blocking while still
-    /// bounding effective MLP.
+    /// Loads and retired stores enter at the L1D, instruction fetches at
+    /// the L1I, and all three take the same L1 path. A store counts into
+    /// the dedicated store counters
+    /// ([`MemoryHierarchy::l1d_store_stats`]), so retired stores do not
+    /// inflate load-MPKI; its completion cycle is write-buffer drain
+    /// time, which retire never blocks on. With the L1I disabled
+    /// (`size_bytes = 0`) an instruction fetch is ideal: it completes
+    /// instantly at level L1 and touches no port.
     pub fn request(&mut self, req: MemRequest) -> AccessResult {
-        match req.kind {
-            ReqKind::Load => self.demand_load(req),
-            ReqKind::Store => self.store(req),
-            ReqKind::IFetch => self.ifetch(req),
-            ReqKind::Prefetch => self.prefetch_request(req),
-        }
-    }
-
-    /// A demand load entering at the L1D.
-    fn demand_load(&mut self, req: MemRequest) -> AccessResult {
-        let cycle = self.l1d_port.admit(req.cycle);
-        // A miss to this block already in flight: merge onto it. Fills are
-        // applied to the tag array eagerly, so this check must precede the
-        // probe to charge the merged access the true fill latency. The
-        // merged access reports the level the in-flight fill is headed to
-        // and still trains the L1 prefetcher below — it is a demand access
-        // like any other.
-        let (mut done, level, l1_prefetch_hit);
-        if let Some((fill, inflight_level)) = self.l1d.mshr_pending(req.addr, cycle) {
-            self.l1d.accesses += 1;
-            done = fill.max(cycle + self.l1d.latency() as u64);
-            level = inflight_level;
-            l1_prefetch_hit = false;
-            // Merged accesses still observed a miss latency; record it so
-            // the MissLatency histogram is not biased toward the subset of
-            // misses that happened to allocate their own MSHR.
-            tlm::hist(tlm::Hist::MissLatency, done.saturating_sub(req.cycle));
-            #[cfg(feature = "debug-invariants")]
-            assert_ne!(
-                level,
-                AccessLevel::L1,
-                "MSHR invariant: an in-flight miss cannot be L1-bound"
-            );
-        } else {
-            match self.l1d.probe(req.addr, cycle) {
-                Probe::Hit { first_prefetch_hit } => {
-                    done = cycle + self.l1d.latency() as u64;
-                    level = AccessLevel::L1;
-                    l1_prefetch_hit = first_prefetch_hit;
-                }
-                Probe::Miss => {
-                    l1_prefetch_hit = false;
-                    let (lower_done, lower_level) = self.access_lower(req, cycle);
-                    done = lower_done;
-                    level = lower_level;
-                    if !self.l1d.mshr_allocate(req.addr, cycle, done, level) {
-                        // All MSHRs busy: retry after a fixed backoff.
-                        done += 4;
-                        tlm::event(tlm::EventKind::MshrFull, cycle, req.pc, req.addr);
-                    }
-                    self.l1d.fill(req.addr, false, done);
-                    if tlm::enabled() {
-                        tlm::hist(tlm::Hist::MissLatency, done.saturating_sub(req.cycle));
-                        tlm::gauge(
-                            tlm::Gauge::MshrOccupancy,
-                            self.l1d.mshrs_in_use(cycle) as u64,
-                        );
-                        if level == AccessLevel::Dram {
-                            tlm::event(tlm::EventKind::DramMiss, cycle, req.pc, done - cycle);
-                        }
+        let (cache, port) = match req.kind {
+            ReqKind::Prefetch => return self.prefetch_request(req),
+            ReqKind::Load | ReqKind::Store => (&mut self.l1d, &mut self.l1d_port),
+            ReqKind::IFetch => match self.l1i.as_mut() {
+                Some(l1i) => (l1i, &mut self.l1i_port),
+                None => {
+                    return AccessResult {
+                        done_cycle: req.cycle,
+                        level: AccessLevel::L1,
                     }
                 }
-            }
-        }
-
-        // Train the L1 prefetcher on every demand access (merged or not).
-        if let Some(ipcp) = &mut self.ipcp {
-            let reqs = ipcp.train(req.pc, req.addr);
-            for r in reqs {
+            },
+        };
+        let (cycle, result) = l1_access(cache, port, &mut self.uncore, self.tenant, req);
+        // Train the L1 prefetcher on every demand load (merged or not).
+        if let (ReqKind::Load, Some(ipcp)) = (req.kind, &mut self.ipcp) {
+            for r in ipcp.train(req.pc, req.addr) {
                 self.prefetch_fill_l1d(r.addr, cycle);
             }
         }
-
-        AccessResult {
-            done_cycle: done,
-            level,
-            l1_prefetch_hit,
-        }
-    }
-
-    /// A store's write at retire: enters the L1D through the same
-    /// MSHR-merge/fill path as loads, so a store miss occupies an MSHR and
-    /// later loads to the block merge onto the in-flight fill instead of
-    /// hitting the eagerly-filled tag. The returned completion cycle is
-    /// write-buffer drain time — retire itself never blocks on it. Counts
-    /// into the dedicated store counters
-    /// ([`MemoryHierarchy::l1d_store_stats`]) rather than the demand
-    /// counters, so retired stores do not inflate load-MPKI.
-    fn store(&mut self, req: MemRequest) -> AccessResult {
-        let cycle = self.l1d_port.admit(req.cycle);
-        let l1_lat = self.l1d.latency() as u64;
-        if let Some((fill, level)) = self.l1d.mshr_pending(req.addr, cycle) {
-            self.l1d.store_accesses += 1;
-            let done = fill.max(cycle + l1_lat);
-            tlm::hist(tlm::Hist::MissLatency, done.saturating_sub(req.cycle));
-            return AccessResult {
-                done_cycle: done,
-                level,
-                l1_prefetch_hit: false,
-            };
-        }
-        match self.l1d.probe_store(req.addr, cycle) {
-            Probe::Hit { .. } => AccessResult {
-                done_cycle: cycle + l1_lat,
-                level: AccessLevel::L1,
-                l1_prefetch_hit: false,
-            },
-            Probe::Miss => {
-                let (mut done, level) = self.access_lower(req, cycle);
-                if !self.l1d.mshr_allocate(req.addr, cycle, done, level) {
-                    done += 4;
-                    tlm::event(tlm::EventKind::MshrFull, cycle, req.pc, req.addr);
-                }
-                self.l1d.fill(req.addr, false, done);
-                tlm::hist(tlm::Hist::MissLatency, done.saturating_sub(req.cycle));
-                AccessResult {
-                    done_cycle: done,
-                    level,
-                    l1_prefetch_hit: false,
-                }
-            }
-        }
-    }
-
-    /// An instruction fetch entering at the L1I. With the L1I disabled
-    /// (`size_bytes = 0`) this is ideal: it completes instantly at level
-    /// L1 and touches no port.
-    fn ifetch(&mut self, req: MemRequest) -> AccessResult {
-        let Some(mut l1i) = self.l1i.take() else {
-            return AccessResult {
-                done_cycle: req.cycle,
-                level: AccessLevel::L1,
-                l1_prefetch_hit: false,
-            };
-        };
-        let cycle = self.l1i_port.admit(req.cycle);
-        let lat = l1i.latency() as u64;
-        let result = if let Some((fill, level)) = l1i.mshr_pending(req.addr, cycle) {
-            l1i.accesses += 1;
-            let done = fill.max(cycle + lat);
-            tlm::hist(tlm::Hist::MissLatency, done.saturating_sub(req.cycle));
-            AccessResult {
-                done_cycle: done,
-                level,
-                l1_prefetch_hit: false,
-            }
-        } else {
-            match l1i.probe(req.addr, cycle) {
-                Probe::Hit { .. } => AccessResult {
-                    done_cycle: cycle + lat,
-                    level: AccessLevel::L1,
-                    l1_prefetch_hit: false,
-                },
-                Probe::Miss => {
-                    let (mut done, level) = self.access_lower(req, cycle);
-                    if !l1i.mshr_allocate(req.addr, cycle, done, level) {
-                        done += 4;
-                        tlm::event(tlm::EventKind::MshrFull, cycle, req.pc, req.addr);
-                    }
-                    l1i.fill(req.addr, false, done);
-                    tlm::hist(tlm::Hist::MissLatency, done.saturating_sub(req.cycle));
-                    AccessResult {
-                        done_cycle: done,
-                        level,
-                        l1_prefetch_hit: false,
-                    }
-                }
-            }
-        };
-        self.l1i = Some(l1i);
         result
     }
 
@@ -370,7 +222,6 @@ impl MemoryHierarchy {
             } else {
                 AccessLevel::L1
             },
-            l1_prefetch_hit: false,
         }
     }
 
@@ -388,13 +239,6 @@ impl MemoryHierarchy {
         }
         self.l1d.fill(addr, true, at);
         true
-    }
-
-    /// Hands a private-tier miss to the shared uncore, re-stamped with
-    /// this core's tenant id and the post-L1-port cycle.
-    fn access_lower(&mut self, req: MemRequest, cycle: u64) -> (u64, AccessLevel) {
-        self.uncore
-            .access(MemRequest { cycle, ..req }.with_tenant(self.tenant))
     }
 
     /// Functional warming: replays one memory reference through the tag
@@ -426,6 +270,63 @@ impl MemoryHierarchy {
             l1i.warm_insert(pc);
         }
     }
+}
+
+/// One load, store or instruction fetch entering at an L1 (`cache` behind
+/// `port`): port admission, then a merge onto an in-flight miss to the
+/// block, else a probe, and on a miss the shared tier (re-stamped with
+/// `tenant` and the admitted cycle), an MSHR and the fill. A store counts
+/// into the cache's store counters. Returns the admitted cycle and the
+/// result.
+///
+/// A merge is checked before the probe because fills are applied to the
+/// tag array eagerly: the merged access must see the true fill latency
+/// and report the level the in-flight fill is headed to. MSHR exhaustion
+/// adds a fixed 4-cycle retry penalty rather than blocking the caller,
+/// keeping the interface non-blocking while still bounding MLP.
+fn l1_access(
+    cache: &mut Cache,
+    port: &mut Port,
+    uncore: &mut Uncore,
+    tenant: usize,
+    req: MemRequest,
+) -> (u64, AccessResult) {
+    let store = req.kind == ReqKind::Store;
+    let cycle = port.admit(req.cycle);
+    let hit_done = cycle + cache.latency() as u64;
+    if let Some((fill, level)) = cache.mshr_pending(req.addr, cycle) {
+        if store {
+            cache.store_accesses += 1;
+        } else {
+            cache.accesses += 1;
+        }
+        #[cfg(feature = "debug-invariants")]
+        assert_ne!(
+            level,
+            AccessLevel::L1,
+            "MSHR invariant: an in-flight miss cannot be L1-bound"
+        );
+        let done_cycle = fill.max(hit_done);
+        return (cycle, AccessResult { done_cycle, level });
+    }
+    let probe = if store {
+        cache.probe_store(req.addr, cycle)
+    } else {
+        cache.probe(req.addr, cycle)
+    };
+    if let Probe::Hit { .. } = probe {
+        let hit = AccessResult {
+            done_cycle: hit_done,
+            level: AccessLevel::L1,
+        };
+        return (cycle, hit);
+    }
+    let (mut done_cycle, level) = uncore.access(MemRequest { cycle, ..req }.with_tenant(tenant));
+    if !cache.mshr_allocate(req.addr, cycle, done_cycle, level) {
+        done_cycle += 4;
+    }
+    cache.fill(req.addr, false, done_cycle);
+    (cycle, AccessResult { done_cycle, level })
 }
 
 #[cfg(test)]
@@ -603,7 +504,7 @@ mod tests {
         assert_eq!((acc, miss), (0, 0), "no demand traffic from prefetches");
         let hit = load(&mut m, 0x0, 0x55_0000, 100);
         assert_eq!(hit.level, AccessLevel::L1);
-        assert!(hit.l1_prefetch_hit, "first demand touch of prefetched data");
+        assert_eq!(m.l1d_stats().2, 1, "first demand touch of prefetched data");
         // A redundant prefetch to resident data is filtered.
         let r = m.request(MemRequest::prefetch(0, 0, 0x55_0000, 200));
         assert_eq!(r.level, AccessLevel::L1);

@@ -13,7 +13,7 @@
 //! | [`omnetpp_like`] | delinquent branch whose whole loop body feeds it | `del. but ht too big` |
 //! | [`exchange2_like`] | deeply predictable control | (almost no mispredictions) |
 //! | [`xz_like`] | delinquent loop visited for ~3 iterations at a time | `del. but not iterating enough` |
-//! | [`gcc_like`] | enough static branches to thrash the 256-entry DBT | `gathering delinquency` |
+//! | [`gcc_like`] | mispredictions spread over 160 data-dependent branches in 80 small loops | `gathering delinquency` |
 //! | [`x264_like`] | streaming memory-bound, predictable branches | (not branch-limited) |
 //! | [`deepsjeng_like`] | delinquent branch in a large search-evaluation body | `del. but ht too big` |
 //! | [`perlbench_like`] | mostly predictable interpreter dispatch | `not delinquent` (low MPKI) |
@@ -190,9 +190,11 @@ pub fn xz_like(visits: u64, trip: u64, seed: u64) -> Cpu {
     cpu
 }
 
-/// Hundreds of static mispredicting branches across many small loops:
-/// the 256-entry DBT thrashes and branches never finish gathering
-/// delinquency (the paper's gcc observation).
+/// 160 data-dependent branches across 80 small loops (241 static
+/// conditional branches in all, fewer than the 256-entry DBT holds):
+/// more than the 32-entry DBT-Max ranks per epoch, so most branches never
+/// finish gathering delinquency (the paper's gcc bin, which the paper
+/// attributes to DBT thrashing).
 pub fn gcc_like(rounds: u64, loops: usize, seed: u64) -> Cpu {
     let mut a = Asm::new(0x10000);
     a.label("round");

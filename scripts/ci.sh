@@ -65,6 +65,27 @@ case $smoke_out in
 *) echo "ci.sh: warm runner smoke run missed the cache" >&2; exit 1 ;;
 esac
 
+echo "==> traced runner smoke test (same matrix under PHELPS_TRACE, 1 and 2 workers)"
+# The trace files are ordered by cell submission and each run's epoch
+# series is its own, so neither file may depend on the worker count.
+trace_dir=$(mktemp -d)
+for jobs in 1 2; do
+    PHELPS_JOBS=$jobs PHELPS_REGION=20000 PHELPS_EPOCH=10000 PHELPS_NO_CACHE=1 \
+        PHELPS_TRACE="$trace_dir/jobs$jobs.json" \
+        ./target/release/fig11 --only=BR- >/dev/null
+done
+cmp "$trace_dir/jobs1.json" "$trace_dir/jobs2.json" || {
+    echo "ci.sh: PHELPS_TRACE JSON depends on PHELPS_JOBS" >&2; exit 1; }
+cmp "$trace_dir/jobs1.csv" "$trace_dir/jobs2.csv" || {
+    echo "ci.sh: PHELPS_TRACE CSV depends on PHELPS_JOBS" >&2; exit 1; }
+case $(head -n 1 "$trace_dir/jobs1.csv") in
+label,epoch,end_cycle,cycles,*) ;;
+*) echo "ci.sh: PHELPS_TRACE CSV header is not label,epoch,end_cycle,cycles,..." >&2
+   exit 1 ;;
+esac
+echo "    $(($(wc -l <"$trace_dir/jobs1.csv") - 1)) epoch rows, identical at 1 and 2 workers"
+rm -rf "$trace_dir"
+
 echo "==> figure binaries (all ten, PHELPS_REGION=100000, cold cache, diff vs results/ci)"
 # Every figure binary must run to completion and print exactly the
 # committed results/ci/<bin>.txt, so a change that moves a number fails
@@ -186,7 +207,7 @@ diff "$cold_out" "$warm_out" || {
     echo "ci.sh: restored simpoints run diverged from the cold run" >&2; exit 1; }
 diff "$cold_merged" "$warm_merged" || {
     echo "ci.sh: merged stats/telemetry depend on PHELPS_JOBS" >&2; exit 1; }
-grep -q '"schema":"phelps-simpoints-merged/3"' "$cold_merged" || {
+grep -q '"schema":"phelps-simpoints-merged/4"' "$cold_merged" || {
     echo "ci.sh: simpoints --merged-out JSON missing or malformed" >&2; exit 1; }
 [ "$(ckpt_field "$cold_err" saves)" -gt 0 ] || {
     echo "ci.sh: cold run saved no checkpoints" >&2; exit 1; }
