@@ -60,30 +60,57 @@ impl std::fmt::Display for FormatError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
+/// Slice-by-8 CRC tables: `CRC_TABLES[0][b]` is the CRC-32 of byte `b`
+/// alone, and `CRC_TABLES[k][b]` that of `b` followed by `k` zero bytes,
+/// so eight table lookups advance the CRC by eight bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
         }
-        table
-    };
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), slice-by-8.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -268,6 +295,37 @@ mod tests {
         // Standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC loop, the reference for slice-by-8.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = CRC_TABLES[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    #[test]
+    fn slice_by_8_matches_bytewise_crc() {
+        // xorshift64 bytes: every table and every tail length gets hit.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let data: Vec<u8> = (0..(1 << 20) + 13)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for len in 0..=64 {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bytewise(&data[..len]),
+                "len {len}"
+            );
+        }
+        assert_eq!(crc32(&data), crc32_bytewise(&data));
     }
 
     #[test]

@@ -4,14 +4,56 @@
 //! lazily on first touch and zero-filled, so workloads can scatter data
 //! structures anywhere without preallocation. Accesses may straddle page
 //! boundaries.
+//!
+//! An access whose bytes all lie in one page costs one page-table lookup
+//! and one little-endian copy; only an access that straddles two pages
+//! (including the wrap from the top of the address space into page 0)
+//! goes byte by byte. Every emulated load and store, every input a
+//! workload builder writes and every pipeline `timing_mem` access runs
+//! through here.
+//!
+//! The page table is keyed by page number with a fixed multiply-and-fold
+//! hash (`PageHasher`) in place of the standard library's SipHash.
+//! SipHash's per-process random keys defend a map against keys crafted to
+//! collide; page numbers come from guest programs built in this repository
+//! and from checkpoint files, whose size bounds how many pages they can
+//! name, so that defence buys nothing here and costs a SipHash round on
+//! every access.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::MemWidth;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
+
+/// Hash of a page number: a multiply by an odd constant, whose high bits
+/// depend on every bit of the page number, then the high half folded into
+/// the low half. The fold matters: `HashMap` picks buckets by the low bits,
+/// which a bare multiply leaves depending only on the page number's low
+/// bits, and the workload layouts place arrays at bases that differ only
+/// in high bits (`0x0100_0000`, `0x0400_0000`, ...).
+#[derive(Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        let x = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+}
 
 /// Size in bytes of one guest memory page.
 pub const PAGE_BYTES: usize = PAGE_SIZE;
@@ -30,7 +72,7 @@ pub const PAGE_BYTES: usize = PAGE_SIZE;
 /// ```
 #[derive(Clone, Default, Debug)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
 }
 
 impl Memory {
@@ -93,33 +135,73 @@ impl Memory {
 
     /// Writes one byte, allocating the page if needed.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
+        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = value;
+    }
+
+    /// The page holding `addr`, allocated zero-filled if not yet resident.
+    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
+        self.pages
             .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr & PAGE_MASK) as usize] = value;
+            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }
 
     /// Reads `width` bytes at `addr` (little-endian), zero- or sign-extending
     /// to 64 bits according to `signed`.
     pub fn read(&self, addr: u64, width: MemWidth, signed: bool) -> u64 {
-        let n = width.bytes();
-        let mut raw: u64 = 0;
-        for i in 0..n {
-            raw |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
-        }
-        if signed {
-            let bits = 8 * n as u32;
-            if bits < 64 {
-                let shift = 64 - bits;
-                return (((raw << shift) as i64) >> shift) as u64;
+        let off = (addr & PAGE_MASK) as usize;
+        let raw = if off + width.bytes() as usize <= PAGE_SIZE {
+            match self.pages.get(&(addr >> PAGE_SHIFT)) {
+                Some(page) => match width {
+                    MemWidth::B => u64::from(page[off]),
+                    MemWidth::H => u64::from(u16::from_le_bytes(*chunk(page, off))),
+                    MemWidth::W => u64::from(u32::from_le_bytes(*chunk(page, off))),
+                    MemWidth::D => u64::from_le_bytes(*chunk(page, off)),
+                },
+                None => 0,
             }
+        } else {
+            self.read_straddling(addr, width)
+        };
+        let bits = 8 * width.bytes() as u32;
+        if signed && bits < 64 {
+            let shift = 64 - bits;
+            return (((raw << shift) as i64) >> shift) as u64;
         }
         raw
     }
 
-    /// Writes the low `width` bytes of `value` at `addr` (little-endian).
+    /// [`Memory::read`]'s raw bytes for an access that straddles two pages,
+    /// one byte at a time.
+    #[cold]
+    #[inline(never)]
+    fn read_straddling(&self, addr: u64, width: MemWidth) -> u64 {
+        (0..width.bytes()).fold(0, |raw, i| {
+            raw | u64::from(self.read_u8(addr.wrapping_add(i))) << (8 * i)
+        })
+    }
+
+    /// Writes the low `width` bytes of `value` at `addr` (little-endian),
+    /// allocating every page the access touches, even when it writes zeros.
     pub fn write(&mut self, addr: u64, width: MemWidth, value: u64) {
+        let off = (addr & PAGE_MASK) as usize;
+        if off + width.bytes() as usize > PAGE_SIZE {
+            self.write_straddling(addr, width, value);
+            return;
+        }
+        let page = self.page_mut(addr);
+        match width {
+            MemWidth::B => page[off] = value as u8,
+            MemWidth::H => *chunk_mut(page, off) = (value as u16).to_le_bytes(),
+            MemWidth::W => *chunk_mut(page, off) = (value as u32).to_le_bytes(),
+            MemWidth::D => *chunk_mut(page, off) = value.to_le_bytes(),
+        }
+    }
+
+    /// [`Memory::write`] for an access that straddles two pages, one byte
+    /// at a time.
+    #[cold]
+    #[inline(never)]
+    fn write_straddling(&mut self, addr: u64, width: MemWidth, value: u64) {
         for i in 0..width.bytes() {
             self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
         }
@@ -133,13 +215,6 @@ impl Memory {
     /// Convenience: write a 64-bit doubleword.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         self.write(addr, MemWidth::D, value);
-    }
-
-    /// Copies a byte slice into memory starting at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
-        }
     }
 
     /// Address and differing bytes `(addr, self_byte, other_byte)` of the
@@ -180,6 +255,20 @@ impl Memory {
         }
         None
     }
+}
+
+/// The `N` bytes of `page` at `off`; the caller has checked they fit.
+fn chunk<const N: usize>(page: &[u8; PAGE_SIZE], off: usize) -> &[u8; N] {
+    page[off..]
+        .first_chunk()
+        .expect("access checked to lie in one page")
+}
+
+/// Mutable [`chunk`].
+fn chunk_mut<const N: usize>(page: &mut [u8; PAGE_SIZE], off: usize) -> &mut [u8; N] {
+    page[off..]
+        .first_chunk_mut()
+        .expect("access checked to lie in one page")
 }
 
 #[cfg(test)]
@@ -234,13 +323,6 @@ mod tests {
         mem.write(addr, MemWidth::D, 0x1122_3344_5566_7788);
         assert_eq!(mem.read(addr, MemWidth::D, false), 0x1122_3344_5566_7788);
         assert_eq!(mem.resident_pages(), 2);
-    }
-
-    #[test]
-    fn write_bytes_copies_slice() {
-        let mut mem = Memory::new();
-        mem.write_bytes(0x500, &[1, 2, 3, 4]);
-        assert_eq!(mem.read(0x500, MemWidth::W, false), 0x0403_0201);
     }
 
     #[test]
@@ -314,6 +396,20 @@ mod tests {
     #[should_panic(expected = "not aligned")]
     fn from_pages_rejects_unaligned_base() {
         let _ = Memory::from_pages([(0x123u64, Box::new([0u8; PAGE_BYTES]))]);
+    }
+
+    #[test]
+    fn page_hash_spreads_high_bit_strides_over_buckets() {
+        // Array bases 16 MiB apart: page numbers differing only above
+        // bit 11, which a bare multiply would send to one bucket.
+        let buckets: std::collections::HashSet<u64> = (0..64u64)
+            .map(|k| {
+                let mut h = PageHasher::default();
+                h.write_u64(k << 12);
+                h.finish() & 0x3f
+            })
+            .collect();
+        assert!(buckets.len() >= 32, "{} of 64 buckets used", buckets.len());
     }
 
     #[test]

@@ -63,9 +63,9 @@ struct Mshr {
 ///
 /// let cfg = CacheConfig { size_bytes: 1024, ways: 2, block_bytes: 64, latency: 3, mshrs: 4, ports: 0 };
 /// let mut c = Cache::new(cfg);
-/// assert_eq!(c.probe(0x40, 0), Probe::Miss);
-/// c.fill(0x40, false, 0);
-/// assert!(matches!(c.probe(0x40, 1), Probe::Hit { .. }));
+/// assert_eq!(c.probe(0x40), Probe::Miss);
+/// c.fill(0x40, false);
+/// assert!(matches!(c.probe(0x40), Probe::Hit { .. }));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cache {
@@ -131,23 +131,22 @@ impl Cache {
         (block & (self.sets.len() as u64 - 1)) as usize
     }
 
-    /// Probes for a demand (load) access at `cycle`; counts statistics and
-    /// updates recency on a hit. Does **not** fill — the hierarchy calls
+    /// Probes for a demand (load) access; counts statistics and updates
+    /// recency on a hit. Does **not** fill — the hierarchy calls
     /// [`Cache::fill`] when the miss returns.
-    pub fn probe(&mut self, addr: u64, cycle: u64) -> Probe {
-        self.probe_kind(addr, cycle, false)
+    pub fn probe(&mut self, addr: u64) -> Probe {
+        self.probe_kind(addr, false)
     }
 
     /// Probes for a retired store. Identical tag-array behavior (recency
     /// update, prefetched-flag clearing) to [`Cache::probe`], but counts
     /// into `store_accesses`/`store_misses` so store refill traffic does
     /// not inflate the demand counters that feed load-MPKI.
-    pub fn probe_store(&mut self, addr: u64, cycle: u64) -> Probe {
-        self.probe_kind(addr, cycle, true)
+    pub fn probe_store(&mut self, addr: u64) -> Probe {
+        self.probe_kind(addr, true)
     }
 
-    fn probe_kind(&mut self, addr: u64, cycle: u64, store: bool) -> Probe {
-        let _ = cycle;
+    fn probe_kind(&mut self, addr: u64, store: bool) -> Probe {
         if store {
             self.store_accesses += 1;
         } else {
@@ -230,8 +229,7 @@ impl Cache {
 
     /// Fills the block containing `addr`, evicting LRU if needed.
     /// `prefetched` marks prefetch fills for usefulness accounting.
-    pub fn fill(&mut self, addr: u64, prefetched: bool, cycle: u64) {
-        let _ = cycle;
+    pub fn fill(&mut self, addr: u64, prefetched: bool) {
         let block = self.block_of(addr);
         let set = self.set_of(block);
         self.stamp += 1;
@@ -327,9 +325,9 @@ mod tests {
     #[test]
     fn miss_then_fill_then_hit() {
         let mut c = small();
-        assert_eq!(c.probe(0x100, 0), Probe::Miss);
-        c.fill(0x100, false, 0);
-        assert!(matches!(c.probe(0x100, 1), Probe::Hit { .. }));
+        assert_eq!(c.probe(0x100), Probe::Miss);
+        c.fill(0x100, false);
+        assert!(matches!(c.probe(0x100), Probe::Hit { .. }));
         assert_eq!(c.accesses, 2);
         assert_eq!(c.misses, 1);
     }
@@ -337,19 +335,19 @@ mod tests {
     #[test]
     fn same_block_different_offset_hits() {
         let mut c = small();
-        c.fill(0x100, false, 0);
-        assert!(matches!(c.probe(0x13f, 0), Probe::Hit { .. }));
-        assert_eq!(c.probe(0x140, 0), Probe::Miss, "next block misses");
+        c.fill(0x100, false);
+        assert!(matches!(c.probe(0x13f), Probe::Hit { .. }));
+        assert_eq!(c.probe(0x140), Probe::Miss, "next block misses");
     }
 
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = small(); // 4 sets, 2 ways
                              // Three blocks mapping to the same set (stride = sets * block = 256).
-        c.fill(0x000, false, 0);
-        c.fill(0x100, false, 0);
-        let _ = c.probe(0x000, 1); // make 0x000 most recent
-        c.fill(0x200, false, 2); // evicts 0x100
+        c.fill(0x000, false);
+        c.fill(0x100, false);
+        let _ = c.probe(0x000); // make 0x000 most recent
+        c.fill(0x200, false); // evicts 0x100
         assert!(c.contains(0x000));
         assert!(!c.contains(0x100));
         assert!(c.contains(0x200));
@@ -358,11 +356,11 @@ mod tests {
     #[test]
     fn a_hit_never_evicts() {
         let mut c = small();
-        c.fill(0x000, false, 0);
-        c.fill(0x100, false, 0);
+        c.fill(0x000, false);
+        c.fill(0x100, false);
         for _ in 0..10 {
-            let _ = c.probe(0x000, 0);
-            let _ = c.probe(0x100, 0);
+            let _ = c.probe(0x000);
+            let _ = c.probe(0x100);
         }
         assert!(c.contains(0x000) && c.contains(0x100));
     }
@@ -370,15 +368,15 @@ mod tests {
     #[test]
     fn prefetch_hit_counted_once() {
         let mut c = small();
-        c.fill(0x300, true, 0);
+        c.fill(0x300, true);
         assert_eq!(
-            c.probe(0x300, 1),
+            c.probe(0x300),
             Probe::Hit {
                 first_prefetch_hit: true
             }
         );
         assert_eq!(
-            c.probe(0x300, 2),
+            c.probe(0x300),
             Probe::Hit {
                 first_prefetch_hit: false
             }
@@ -413,16 +411,16 @@ mod tests {
     #[test]
     fn store_probe_counts_separately_but_behaves_identically() {
         let mut c = small();
-        assert_eq!(c.probe_store(0x100, 0), Probe::Miss);
-        c.fill(0x100, false, 0);
-        assert!(matches!(c.probe_store(0x100, 1), Probe::Hit { .. }));
+        assert_eq!(c.probe_store(0x100), Probe::Miss);
+        c.fill(0x100, false);
+        assert!(matches!(c.probe_store(0x100), Probe::Hit { .. }));
         assert_eq!((c.accesses, c.misses), (0, 0), "demand counters untouched");
         assert_eq!((c.store_accesses, c.store_misses), (2, 1));
         // A store touch still refreshes recency: 0x100 survives the next
         // same-set fill pair while the untouched block is evicted.
-        c.fill(0x200, false, 2);
-        let _ = c.probe_store(0x100, 3);
-        c.fill(0x300, false, 4); // evicts LRU = 0x200
+        c.fill(0x200, false);
+        let _ = c.probe_store(0x100);
+        c.fill(0x300, false); // evicts LRU = 0x200
         assert!(c.contains(0x100) && !c.contains(0x200));
     }
 
@@ -449,8 +447,8 @@ mod tests {
     #[test]
     fn warm_touch_refreshes_recency_like_a_demand_probe() {
         let mut c = small();
-        c.fill(0x000, false, 0);
-        c.fill(0x100, false, 0);
+        c.fill(0x000, false);
+        c.fill(0x100, false);
         assert!(c.warm_touch(0x000)); // 0x000 most recent
         c.warm_insert(0x200); // evicts LRU = 0x100
         assert!(c.contains(0x000) && !c.contains(0x100) && c.contains(0x200));
@@ -460,11 +458,11 @@ mod tests {
     fn warm_touch_preserves_prefetched_flag() {
         // A warm touch must not consume the first-demand-touch credit.
         let mut c = small();
-        c.fill(0x300, true, 0);
+        c.fill(0x300, true);
         assert!(c.warm_touch(0x300));
         assert_eq!(c.prefetch_hits, 0);
         assert_eq!(
-            c.probe(0x300, 1),
+            c.probe(0x300),
             Probe::Hit {
                 first_prefetch_hit: true
             }
@@ -474,12 +472,12 @@ mod tests {
     #[test]
     fn refill_of_present_block_does_not_duplicate() {
         let mut c = small();
-        c.fill(0x100, false, 0);
-        c.fill(0x100, false, 1);
+        c.fill(0x100, false);
+        c.fill(0x100, false);
         // Still exactly one copy: filling two more same-set blocks evicts
         // at most two distinct blocks.
-        c.fill(0x200, false, 2);
-        c.fill(0x300, false, 3);
+        c.fill(0x200, false);
+        c.fill(0x300, false);
         let present = [0x100u64, 0x200, 0x300]
             .iter()
             .filter(|&&a| c.contains(a))

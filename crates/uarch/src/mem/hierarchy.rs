@@ -237,7 +237,7 @@ impl MemoryHierarchy {
         if !self.uncore.l2_contains(addr, self.tenant) {
             self.uncore.prefetch_fill_l2(addr, at, self.tenant);
         }
-        self.l1d.fill(addr, true, at);
+        self.l1d.fill(addr, true);
         true
     }
 
@@ -310,9 +310,9 @@ fn l1_access(
         return (cycle, AccessResult { done_cycle, level });
     }
     let probe = if store {
-        cache.probe_store(req.addr, cycle)
+        cache.probe_store(req.addr)
     } else {
-        cache.probe(req.addr, cycle)
+        cache.probe(req.addr)
     };
     if let Probe::Hit { .. } = probe {
         let hit = AccessResult {
@@ -325,7 +325,7 @@ fn l1_access(
     if !cache.mshr_allocate(req.addr, cycle, done_cycle, level) {
         done_cycle += 4;
     }
-    cache.fill(req.addr, false, done_cycle);
+    cache.fill(req.addr, false);
     (cycle, AccessResult { done_cycle, level })
 }
 

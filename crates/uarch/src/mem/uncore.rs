@@ -165,22 +165,22 @@ impl Uncore {
         let addr = Self::color(req.addr, tenant);
         let cycle = self.admit_l2(req.cycle, tenant);
         let l2_lat = self.l2.latency() as u64;
-        let result = match self.l2.probe(addr, cycle) {
+        let result = match self.l2.probe(addr) {
             Probe::Hit { .. } => (cycle + l2_lat, AccessLevel::L2),
             Probe::Miss => {
                 self.stat_mut(tenant).l2_misses += 1;
                 let at3 = self.admit_l3(cycle, tenant);
-                let (done, level) = match self.l3.probe(addr, at3) {
+                let (done, level) = match self.l3.probe(addr) {
                     Probe::Hit { .. } => (at3 + self.l3.latency() as u64, AccessLevel::L3),
                     Probe::Miss => {
                         self.stat_mut(tenant).l3_misses += 1;
                         let atq = self.admit_dram(at3, tenant);
                         let done = atq + self.l3.latency() as u64 + self.dram_latency as u64;
-                        self.l3.fill(addr, false, done);
+                        self.l3.fill(addr, false);
                         (done, AccessLevel::Dram)
                     }
                 };
-                self.l2.fill(addr, false, done);
+                self.l2.fill(addr, false);
                 (done, level)
             }
         };
@@ -194,11 +194,11 @@ impl Uncore {
             if !self.l2.contains(r.addr) {
                 self.stat_mut(tenant).prefetches_issued += 1;
                 let at2 = self.admit_l2(cycle, tenant);
-                if matches!(self.l3.probe(r.addr, at2), Probe::Miss) {
-                    let at3 = self.admit_l3(at2, tenant);
-                    self.l3.fill(r.addr, true, at3);
+                if matches!(self.l3.probe(r.addr), Probe::Miss) {
+                    self.admit_l3(at2, tenant);
+                    self.l3.fill(r.addr, true);
                 }
-                self.l2.fill(r.addr, true, at2);
+                self.l2.fill(r.addr, true);
             }
         }
         result
@@ -215,8 +215,8 @@ impl Uncore {
     /// L2 as prefetch data. The caller owns the prefetch-issue counting.
     pub fn prefetch_fill_l2(&mut self, addr: u64, cycle: u64, tenant: usize) {
         let addr = Self::color(addr, tenant);
-        let at2 = self.admit_l2(cycle, tenant);
-        self.l2.fill(addr, true, at2);
+        self.admit_l2(cycle, tenant);
+        self.l2.fill(addr, true);
     }
 
     /// Functional warming of the shared tier: the L2/L3 warm ladder

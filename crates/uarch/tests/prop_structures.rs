@@ -24,13 +24,13 @@ proptest! {
     fn cache_contents_subset_of_fills(addrs in prop::collection::vec(0u64..(1 << 16), 1..300)) {
         let mut c = small_cache();
         let mut filled = std::collections::HashSet::new();
-        for (i, a) in addrs.iter().enumerate() {
-            match c.probe(*a, i as u64) {
+        for a in &addrs {
+            match c.probe(*a) {
                 Probe::Hit { .. } => {
                     prop_assert!(filled.contains(&(a / 64)), "hit only on filled block");
                 }
                 Probe::Miss => {
-                    c.fill(*a, false, i as u64);
+                    c.fill(*a, false);
                     filled.insert(a / 64);
                 }
             }
@@ -52,13 +52,13 @@ proptest! {
         // Two blocks in the same set (stride = sets * block).
         let a = 0u64;
         let b = 16 * 64;
-        let _ = c.probe(a, 0);
-        c.fill(a, false, 0);
-        let _ = c.probe(b, 0);
-        c.fill(b, false, 0);
-        for r in 0..rounds {
-            let hit_a = matches!(c.probe(a, r as u64), Probe::Hit { .. });
-            let hit_b = matches!(c.probe(b, r as u64), Probe::Hit { .. });
+        let _ = c.probe(a);
+        c.fill(a, false);
+        let _ = c.probe(b);
+        c.fill(b, false);
+        for _ in 0..rounds {
+            let hit_a = matches!(c.probe(a), Probe::Hit { .. });
+            let hit_b = matches!(c.probe(b), Probe::Hit { .. });
             prop_assert!(hit_a, "block a resident");
             prop_assert!(hit_b, "block b resident");
         }

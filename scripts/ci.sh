@@ -203,6 +203,11 @@ PHELPS_NO_CACHE=1 PHELPS_REGION=20000 PHELPS_EPOCH=10000 PHELPS_JOBS=1 \
 ckpt_field() { grep '^\[ckpt\]' "$1" | tr ' ' '\n' | sed -n "s/^$2=//p"; }
 echo "    cold: $(grep '^\[ckpt\]' "$cold_err")"
 echo "    warm: $(grep '^\[ckpt\]' "$warm_err")"
+cold_ff=$(ckpt_field "$cold_err" ff_ns)
+warm_ff=$(ckpt_field "$warm_err" ff_ns)
+warm_restore=$(ckpt_field "$warm_err" restore_ns)
+echo "    ratio: cold ff / (warm ff + restore) =" \
+    "$(awk "BEGIN { printf \"%.1f\", $cold_ff / ($warm_ff + $warm_restore + 1) }") (bound 5)"
 diff "$cold_out" "$warm_out" || {
     echo "ci.sh: restored simpoints run diverged from the cold run" >&2; exit 1; }
 diff "$cold_merged" "$warm_merged" || {
@@ -215,9 +220,6 @@ grep -q '"schema":"phelps-simpoints-merged/4"' "$cold_merged" || {
     echo "ci.sh: warm run restored no checkpoints" >&2; exit 1; }
 [ "$(ckpt_field "$warm_err" misses)" -eq 0 ] || {
     echo "ci.sh: warm run still missed checkpoints" >&2; exit 1; }
-cold_ff=$(ckpt_field "$cold_err" ff_ns)
-warm_ff=$(ckpt_field "$warm_err" ff_ns)
-warm_restore=$(ckpt_field "$warm_err" restore_ns)
 awk "BEGIN { exit !($cold_ff >= 5 * ($warm_ff + $warm_restore + 1)) }" || {
     echo "ci.sh: checkpoint restore saved <5x fast-forward time" \
          "(cold ff ${cold_ff}ns vs warm ff ${warm_ff}ns + restore ${warm_restore}ns)" >&2
