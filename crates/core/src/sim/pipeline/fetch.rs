@@ -48,7 +48,7 @@ impl<E: PreExecEngine> Pipeline<E> {
         let mut cur_iblock: Option<u64> = None;
         // Frontend pipe occupancy backpressure: bounded by ROB partition.
         for _ in 0..width {
-            if self.ctx.threads[MT].rob.len() as u32 >= self.ctx.threads[MT].rob_cap {
+            if self.ctx.threads[MT].in_flight() as u32 >= self.ctx.threads[MT].rob_cap {
                 break;
             }
             let Some(rec) = self.ctx.trace.next() else {
@@ -154,7 +154,9 @@ impl<E: PreExecEngine> Pipeline<E> {
     fn fetch_side(&mut self, tid: usize) {
         let width = self.ctx.threads[tid].width;
         for _ in 0..width {
-            if self.ctx.threads[tid].rob.len() as u32 >= self.ctx.threads[tid].rob_cap {
+            // Live entries only: a loose thread's tombstones hold no ROB
+            // entry.
+            if self.ctx.threads[tid].in_flight() as u32 >= self.ctx.threads[tid].rob_cap {
                 break;
             }
             let Some(engine) = self.engine.as_mut() else {
@@ -208,9 +210,9 @@ impl SimContext {
         self.insts.insert(di, Stage::Frontend, meta);
         #[cfg(feature = "debug-invariants")]
         assert!(
-            self.threads[tid].rob.len() as u32 <= self.threads[tid].rob_cap,
+            self.threads[tid].in_flight() as u32 <= self.threads[tid].rob_cap,
             "tid {tid}: fetch overfilled the ROB partition ({} > {})",
-            self.threads[tid].rob.len(),
+            self.threads[tid].in_flight(),
             self.threads[tid].rob_cap
         );
     }

@@ -17,6 +17,7 @@ use crate::sim::types::{ExecInfo, PreExecEngine, SideAction, SideKind, MT, NUM_T
 use phelps_isa::{Inst, Reg};
 use phelps_uarch::bpred::DirectionPredictor;
 use phelps_uarch::mem::MemRequest;
+use std::cmp::Reverse;
 
 impl SimContext {
     pub(super) fn dep_value(&self, tid: usize, reg: Reg, dep: u64) -> u64 {
@@ -32,10 +33,17 @@ impl SimContext {
     }
 
     /// Retires the completion events due this cycle: each instruction
-    /// turns `Done` and wakes its registered consumers.
+    /// turns `Done` and wakes its registered consumers. In a loose run a
+    /// side-thread instruction also joins its thread's Done queue.
     pub(super) fn complete_execution(&mut self) {
         while let Some(producer) = self.insts.pop_completed(self.cycle) {
             self.insts.wake_consumers(producer);
+            if self.loose_retire {
+                let tid = self.insts.meta(producer).expect("just completed").tid as usize;
+                if tid != MT {
+                    self.threads[tid].done.push(Reverse(producer));
+                }
+            }
         }
     }
 }

@@ -52,7 +52,8 @@ use phelps_uarch::bpred::{DirectionPredictor, HistoryCheckpoint, TageScL};
 use phelps_uarch::config::{ActiveThreads, CoreConfig, PartitionPlan};
 use phelps_uarch::mem::{MemoryHierarchy, Uncore};
 use phelps_uarch::stats::SimStats;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::sim::types::EngineCkpt;
 use slab::{InstMeta, InstSlab, Lane, NO_DEP};
@@ -167,8 +168,15 @@ impl TraceSource {
 
 #[derive(Clone, Debug)]
 struct ThreadCtx {
-    /// In-flight seqs in program order (frontend + ROB).
+    /// In-flight seqs in program order (frontend + ROB). A loosely
+    /// retiring thread also keeps its retired seqs here, as tombstones,
+    /// until they reach the front.
     rob: VecDeque<u64>,
+    /// Retired seqs still in `rob` (loose retire only).
+    tombstones: usize,
+    /// Loose retire: this thread's seqs that turned `Done`, oldest first.
+    /// A squashed seq stays here until retire pops and drops it.
+    done: BinaryHeap<Reverse<u64>>,
     /// In-flight load seqs, program order (the loads of `rob`). Keeps
     /// ordering-violation search off the full ROB scan.
     loads: VecDeque<u64>,
@@ -215,6 +223,8 @@ impl ThreadCtx {
     fn new() -> ThreadCtx {
         ThreadCtx {
             rob: VecDeque::new(),
+            tombstones: 0,
+            done: BinaryHeap::new(),
             loads: VecDeque::new(),
             stores: VecDeque::new(),
             frontend: 0,
@@ -236,6 +246,12 @@ impl ThreadCtx {
             waiting_mt_release: false,
             active: false,
         }
+    }
+
+    /// Live in-flight instructions: the ROB less its tombstones. This is
+    /// what the partition's ROB cap bounds.
+    fn in_flight(&self) -> usize {
+        self.rob.len() - self.tombstones
     }
 
     /// Records a fetched instruction in the load/store index lists.
@@ -376,8 +392,9 @@ struct SimContext {
     /// store-set check held this cycle, put back in their ready queue
     /// after the walk.
     issue_scratch: Vec<u64>,
-    /// Reused scratch for loose side retirement.
-    loose_scratch: Vec<u64>,
+    /// The engine's [`PreExecEngine::loose_retire`], read once at
+    /// construction: side threads retire from their Done queues.
+    loose_retire: bool,
     next_seq: u64,
     cycle: u64,
     /// Engine-triggered state.
@@ -455,7 +472,7 @@ impl<E: PreExecEngine> Pipeline<E> {
             threads,
             insts: InstSlab::new(),
             issue_scratch: Vec::new(),
-            loose_scratch: Vec::new(),
+            loose_retire: engine.as_ref().is_some_and(|e| e.loose_retire()),
             next_seq: 0,
             cycle: 0,
             preexec_active: false,
@@ -681,8 +698,11 @@ impl SimContext {
     /// under the `debug-invariants` feature (the `phelps-verify` fuzzing
     /// harness and CI compile with it; experiment builds pay nothing).
     ///
-    /// Covered here: ROB occupancy within the partition cap, program-order
-    /// (strictly ascending) ROB contents, LQ/SQ/PRF usage counters exactly
+    /// Covered here: live ROB occupancy within the partition cap, each
+    /// thread's tombstone count equal to its ROB entries that left flight,
+    /// every live `Done` entry of a loosely retiring thread in its Done
+    /// queue, program-order (strictly ascending) ROB contents, the slab's
+    /// ring a power of two that holds its span, LQ/SQ/PRF usage counters exactly
     /// matching the live post-dispatch instructions (a drifting counter is
     /// the usage-counter analog of a free list double-allocating), rename
     /// and predicate-rename entries pointing only at live same-thread
@@ -699,19 +719,37 @@ impl SimContext {
     fn check_invariants(&self) {
         let mut rob_total = 0usize;
         for (tid, t) in self.threads.iter().enumerate() {
-            rob_total += t.rob.len();
+            rob_total += t.in_flight();
             assert!(
-                t.rob.len() as u32 <= t.rob_cap || t.rob_cap == 0,
+                t.in_flight() as u32 <= t.rob_cap || t.rob_cap == 0,
                 "tid {tid}: ROB occupancy {} exceeds partition cap {}",
-                t.rob.len(),
+                t.in_flight(),
                 t.rob_cap
             );
             assert!(
-                t.frontend <= t.rob.len(),
+                t.frontend <= t.in_flight(),
                 "tid {tid}: frontend pipe count {} exceeds ROB occupancy {}",
                 t.frontend,
-                t.rob.len()
+                t.in_flight()
             );
+            let dead = t.rob.iter().filter(|&&s| self.insts.stage(s).is_none());
+            assert_eq!(
+                dead.count(),
+                t.tombstones,
+                "tid {tid}: tombstone count drifted from the ROB entries that left flight"
+            );
+            if self.loose_retire && tid != MT {
+                let queued: std::collections::HashSet<u64> =
+                    t.done.iter().map(|&Reverse(s)| s).collect();
+                for &s in &t.rob {
+                    if self.insts.stage(s) == Some(Stage::Done) {
+                        assert!(
+                            queued.contains(&s),
+                            "tid {tid}: Done seq {s} is missing from the Done queue"
+                        );
+                    }
+                }
+            }
             let mut prev: Option<u64> = None;
             for &s in &t.rob {
                 if let Some(p) = prev {
@@ -787,11 +825,16 @@ impl SimContext {
                 );
             }
         }
-        // Every slab entry is in exactly one ROB and vice versa.
+        // Every slab entry is live in exactly one ROB and vice versa.
         assert_eq!(
             self.insts.live(),
             rob_total,
             "slab live count drifted from ROB membership"
+        );
+        let (span, capacity) = self.insts.ring();
+        assert!(
+            span <= capacity && (capacity == 0 || capacity.is_power_of_two()),
+            "slab ring of {capacity} slots cannot hold a span of {span} seqs"
         );
         // A queued seq that left the IQ is stale and is dropped when
         // popped; every other queued seq must be a ready IQ entry of the

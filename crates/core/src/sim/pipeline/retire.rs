@@ -1,7 +1,7 @@
 //! Retire stage: in-order main-thread retirement (architectural commit,
 //! predictor training, engine control commands), side-thread retirement
-//! (strict or loose order, predicated store-cache commit), and resource
-//! reclamation.
+//! (strict order, or loose order from the thread's Done queue;
+//! predicated store-cache commit), and resource reclamation.
 
 use super::slab::RemovedInst;
 use super::{DynInst, Pipeline, PredFrom, SimContext};
@@ -11,6 +11,7 @@ use phelps_isa::Inst;
 use phelps_telemetry as tlm;
 use phelps_uarch::bpred::DirectionPredictor;
 use phelps_uarch::mem::MemRequest;
+use std::cmp::Reverse;
 
 use super::Stage;
 
@@ -19,12 +20,16 @@ impl<E: PreExecEngine> Pipeline<E> {
         self.retire_mt();
         if self.ctx.preexec_active {
             for tid in [HT_A, HT_B] {
-                if self.ctx.threads[tid].active {
+                if !self.ctx.threads[tid].active {
+                    continue;
+                }
+                if self.ctx.loose_retire {
+                    self.retire_side_loose(tid);
+                } else {
                     self.retire_side(tid);
                 }
             }
         }
-        // Prune: nothing needed; insts removed at retire/squash.
     }
 
     fn retire_mt(&mut self) {
@@ -141,14 +146,12 @@ impl<E: PreExecEngine> Pipeline<E> {
         }
     }
 
+    /// Strict side retire: the `width` oldest ROB entries, in program
+    /// order, while each is Done.
     fn retire_side(&mut self, tid: usize) {
-        let loose = self.engine.as_ref().is_some_and(|e| e.loose_retire());
         let width = self.ctx.threads[tid].width.max(1);
         let mut n = 0;
-        loop {
-            if n >= width {
-                return;
-            }
+        while n < width {
             let Some(&seq) = self.ctx.threads[tid].rob.front() else {
                 return;
             };
@@ -158,14 +161,7 @@ impl<E: PreExecEngine> Pipeline<E> {
                     continue;
                 }
                 Some(Stage::Done) => {}
-                Some(_) => {
-                    if loose {
-                        // Loose mode: skip stalled head, retire any Done insts
-                        // behind it (chains have no program-order semantics).
-                        self.retire_side_loose(tid, width.saturating_sub(n) as usize);
-                    }
-                    return;
-                }
+                Some(_) => return,
             }
             let r = self.ctx.insts.remove(seq).expect("present");
             self.ctx.threads[tid].rob.pop_front();
@@ -176,30 +172,38 @@ impl<E: PreExecEngine> Pipeline<E> {
         }
     }
 
-    fn retire_side_loose(&mut self, tid: usize, budget: usize) {
-        let mut scratch = std::mem::take(&mut self.ctx.loose_scratch);
-        scratch.clear();
-        scratch.extend(
-            self.ctx.threads[tid]
-                .rob
-                .iter()
-                .copied()
-                .filter(|&s| matches!(self.ctx.insts.stage(s), Some(Stage::Done)))
-                .take(budget),
-        );
-        for &s in &scratch {
-            let r = self.ctx.insts.remove(s).expect("present");
-            self.ctx.threads[tid].forget_tracked(s, &r.meta);
+    /// Loose side retire (chains have no program-order semantics): the
+    /// `width` oldest Done seqs, popped from the thread's Done queue in
+    /// ascending order. A popped seq that left flight (squashed) is
+    /// skipped. Retired seqs stay in the ROB as tombstones until they
+    /// reach its front.
+    fn retire_side_loose(&mut self, tid: usize) {
+        let width = self.ctx.threads[tid].width.max(1);
+        let mut n = 0;
+        while n < width {
+            let Some(Reverse(seq)) = self.ctx.threads[tid].done.pop() else {
+                break;
+            };
+            let Some(r) = self.ctx.insts.remove(seq) else {
+                continue;
+            };
+            debug_assert_eq!(r.stage, Stage::Done, "Done queue held seq {seq}");
+            let t = &mut self.ctx.threads[tid];
+            t.tombstones += 1;
+            t.forget_tracked(seq, &r.meta);
             self.ctx.release_resources(tid, &r);
             self.finish_side_retire(tid, r.di);
+            n += 1;
         }
-        if !scratch.is_empty() {
-            // One retain pass over the (small, partition-capped) side ROB
-            // instead of a retain per retired seq; scratch is at most the
-            // retire width, so `contains` stays trivially cheap.
-            self.ctx.threads[tid].rob.retain(|s| !scratch.contains(s));
+        let ctx = &mut self.ctx;
+        let t = &mut ctx.threads[tid];
+        while let Some(&s) = t.rob.front() {
+            if ctx.insts.stage(s).is_some() {
+                break;
+            }
+            t.rob.pop_front();
+            t.tombstones -= 1;
         }
-        self.ctx.loose_scratch = scratch;
     }
 
     fn finish_side_retire(&mut self, tid: usize, di: DynInst) {

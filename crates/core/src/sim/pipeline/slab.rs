@@ -2,11 +2,14 @@
 //!
 //! Sequence numbers are dense and monotonically allocated, so the
 //! in-flight window is a contiguous seq range at all times. [`InstSlab`]
-//! exploits that: a `VecDeque`-backed slab indexed by `seq - base` gives
-//! O(1) lookup with no hashing, and in-order reclamation at retire (the
-//! front of the deque pops as soon as the oldest slots die, so the slab
-//! length stays bounded by the in-flight window plus transient holes
-//! from out-of-order side-thread removal).
+//! exploits that: its columns form one power-of-two ring, and seq `s`
+//! lives at `s & mask`. A lookup is one wrapping range check against the
+//! span `[base, base + len)` plus the mask, with no hashing. Removal
+//! marks a slot dead; reclamation at retire advances `base` over the
+//! dead prefix, so the span is the in-flight window plus transient holes
+//! from out-of-order side-thread removal. When an insert finds the span
+//! as long as the ring, the ring doubles and every span slot moves to
+//! its seq under the new mask. The ring never shrinks.
 //!
 //! The hot per-cycle scalar state is split out of the payload into
 //! structure-of-arrays columns kept parallel to the slots:
@@ -46,13 +49,21 @@
 //!   not what waits. Entries that left the IQ are dropped when popped,
 //!   for the same reason as stale completion events.
 //!
+//! A thread that retires loosely (Branch Runahead's chains, see
+//! `PreExecEngine::loose_retire`) has a **Done queue** beside these: a
+//! min-heap of its seqs that turned `Done`, filled at completion and
+//! kept with the thread's ROB in the pipeline's thread context. Done
+//! queues are to retire what the ready queues are to issue: retire pops
+//! the oldest Done seqs, and drops those that left flight, in place of a
+//! scan of the ROB.
+//!
 //! The payload ([`DynInst`]: trace record, checkpoints, side metadata,
 //! results) is touched only when an instruction actually executes or
 //! retires.
 
 use super::{DynInst, Stage};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Sentinel for an empty/ready dep slot (never a valid seq: allocation
 /// starts at 1 and a simulation retires far fewer than 2^64 records).
@@ -149,16 +160,23 @@ pub(super) struct RemovedInst {
 /// The slab. See the module docs for the layout rationale.
 #[derive(Debug, Default)]
 pub(super) struct InstSlab {
-    /// Seq of logical slot 0. Starts at 1 (the first allocated seq).
+    /// Oldest seq of the span `[base, base + len)`: the oldest live seq,
+    /// or the next seq to allocate when nothing is live.
     base: u64,
-    slots: VecDeque<Option<DynInst>>,
-    stage: VecDeque<Option<Stage>>,
-    meta: VecDeque<InstMeta>,
+    /// Length of the span. Every live seq lies in it; dead seqs inside it
+    /// are holes left by out-of-order removal.
+    len: usize,
+    /// Ring capacity minus one. The capacity (every column's length) is a
+    /// power of two at least `len`, and seq `s` lives at `s & mask`.
+    mask: usize,
+    slots: Vec<Option<DynInst>>,
+    stage: Vec<Option<Stage>>,
+    meta: Vec<InstMeta>,
     /// Head of each slot's wait list: its newest registered consumer.
-    waiters: VecDeque<u64>,
+    waiters: Vec<u64>,
     /// For each dep slot a consumer registered through, the next (older)
     /// consumer on the same producer's wait list.
-    links: VecDeque<[u64; 4]>,
+    links: Vec<[u64; 4]>,
     /// Pending completions `(done, seq)`, earliest first.
     events: BinaryHeap<Reverse<(u64, u64)>>,
     /// Per-lane ready queues (indexed by [`Lane::index`]), oldest first.
@@ -168,6 +186,21 @@ pub(super) struct InstSlab {
     live: usize,
 }
 
+/// Capacity of the first ring: a full-size ROB holds a few hundred
+/// seqs, so a run grows the ring only a few times.
+const FIRST_CAPACITY: usize = 64;
+
+/// The meta value of a ring slot that holds no instruction.
+const EMPTY_META: InstMeta = InstMeta {
+    lane: Lane::Alu,
+    tid: 0,
+    latency: 0,
+    unready: 0,
+    flags: 0,
+    deps: [NO_DEP; 2],
+    pred_deps: [NO_DEP; 2],
+};
+
 impl InstSlab {
     pub(super) fn new() -> InstSlab {
         InstSlab {
@@ -176,11 +209,37 @@ impl InstSlab {
         }
     }
 
+    /// The ring slot of an in-span seq: one wrapping range check (a seq
+    /// below `base` wraps to a huge offset), then the mask.
     fn index(&self, seq: u64) -> Option<usize> {
-        if seq < self.base || seq >= self.base + self.slots.len() as u64 {
-            return None;
+        (seq.wrapping_sub(self.base) < self.len as u64).then_some(seq as usize & self.mask)
+    }
+
+    /// Doubles the ring and re-places every span slot at its seq under
+    /// the new mask. Slots outside the span hold nothing that is read
+    /// again, so they start empty.
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(FIRST_CAPACITY);
+        let mask = cap - 1;
+        let mut slots = vec![None; cap];
+        let mut stage = vec![None; cap];
+        let mut meta = vec![EMPTY_META; cap];
+        let mut waiters = vec![NO_WAITER; cap];
+        let mut links = vec![[NO_WAITER; 4]; cap];
+        for seq in self.base..self.base + self.len as u64 {
+            let (from, to) = (seq as usize & self.mask, seq as usize & mask);
+            slots[to] = self.slots[from].take();
+            stage[to] = self.stage[from];
+            meta[to] = self.meta[from];
+            waiters[to] = self.waiters[from];
+            links[to] = self.links[from];
         }
-        Some((seq - self.base) as usize)
+        self.mask = mask;
+        self.slots = slots;
+        self.stage = stage;
+        self.meta = meta;
+        self.waiters = waiters;
+        self.links = links;
     }
 
     /// Number of live instructions. (Used by the `debug-invariants`
@@ -200,14 +259,19 @@ impl InstSlab {
     pub(super) fn insert(&mut self, di: DynInst, stage: Stage, meta: InstMeta) {
         assert_eq!(
             di.seq,
-            self.base + self.slots.len() as u64,
+            self.base + self.len as u64,
             "slab insert out of allocation order"
         );
-        self.slots.push_back(Some(di));
-        self.stage.push_back(Some(stage));
-        self.meta.push_back(meta);
-        self.waiters.push_back(NO_WAITER);
-        self.links.push_back([NO_WAITER; 4]);
+        if self.len == self.slots.len() {
+            self.grow();
+        }
+        let i = di.seq as usize & self.mask;
+        self.slots[i] = Some(di);
+        self.stage[i] = Some(stage);
+        self.meta[i] = meta;
+        self.waiters[i] = NO_WAITER;
+        self.links[i] = [NO_WAITER; 4];
+        self.len += 1;
         self.live += 1;
     }
 
@@ -427,13 +491,9 @@ impl InstSlab {
         let di = self.slots[i].take().expect("stage/slot parity");
         let meta = self.meta[i];
         self.live -= 1;
-        while let Some(None) = self.stage.front() {
-            self.stage.pop_front();
-            self.slots.pop_front();
-            self.meta.pop_front();
-            self.waiters.pop_front();
-            self.links.pop_front();
+        while self.len > 0 && self.stage[self.base as usize & self.mask].is_none() {
             self.base += 1;
+            self.len -= 1;
         }
         Some(RemovedInst { di, stage, meta })
     }
@@ -442,10 +502,15 @@ impl InstSlab {
     /// whole-window audit.)
     #[cfg_attr(not(feature = "debug-invariants"), allow(dead_code))]
     pub(super) fn iter(&self) -> impl Iterator<Item = (u64, &DynInst)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| Some((self.base + i as u64, s.as_ref()?)))
+        (self.base..self.base + self.len as u64)
+            .filter_map(|seq| Some((seq, self.slots[seq as usize & self.mask].as_ref()?)))
+    }
+
+    /// The span length and the ring capacity. (Used by the
+    /// `debug-invariants` whole-window audit.)
+    #[cfg_attr(not(feature = "debug-invariants"), allow(dead_code))]
+    pub(super) fn ring(&self) -> (usize, usize) {
+        (self.len, self.slots.len())
     }
 }
 
@@ -455,7 +520,7 @@ mod tests {
     use super::*;
     use phelps_isa::{ExecRecord, Inst};
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
 
     fn dummy(seq: u64) -> DynInst {
         let inst = Inst::Halt;
@@ -596,6 +661,151 @@ mod tests {
         assert_eq!(slab.pop_ready(&[1; 3]), None, "queued exactly once");
     }
 
+    /// The ring keeps every seq in its slot while it grows with live
+    /// entries across the wrap. The oldest entry (seq 38, so the span
+    /// starts mid-ring) stays in `Exec` and holds `base` while 12,000
+    /// younger seqs are inserted, bound, issued, woken and removed out of
+    /// order; the span outgrows the ring eight times (64 to 16,384
+    /// slots). After each growth and at the end, a model checks every
+    /// live seq's stage and meta, every live producer's wait list, and
+    /// that no removed seq comes back.
+    #[test]
+    fn ring_growth_keeps_every_seq_in_place() {
+        struct Entry {
+            stage: Stage,
+            lane: Lane,
+            deps: [u64; 2],
+            pred_deps: [u64; 2],
+        }
+        fn check(
+            slab: &InstSlab,
+            model: &BTreeMap<u64, Entry>,
+            waits: &HashMap<u64, Vec<u64>>,
+            removed: &[u64],
+        ) {
+            let pending = |d: u64| model.get(&d).is_some_and(|e| e.stage != Stage::Done);
+            for (&s, e) in model {
+                assert_eq!(slab.get(s).map(|d| d.seq), Some(s));
+                assert_eq!(slab.stage(s), Some(e.stage), "seq {s}");
+                let m = slab.meta(s).expect("live seq has meta");
+                assert_eq!(m.lane, e.lane, "seq {s}");
+                assert_eq!((m.deps, m.pred_deps), (e.deps, e.pred_deps), "seq {s}");
+                let unready = e.deps.iter().chain(&e.pred_deps).filter(|&&d| pending(d));
+                assert_eq!(m.unready as usize, unready.count(), "seq {s}");
+                let want = waits.get(&s).map_or(&[][..], Vec::as_slice);
+                assert!(slab.consumers(s).eq(want.iter().copied()), "seq {s}");
+            }
+            for &s in removed {
+                assert!(slab.get(s).is_none(), "removed seq {s} resurrected");
+                assert_eq!(slab.stage(s), None);
+                assert!(slab.meta(s).is_none());
+            }
+            assert_eq!(slab.live(), model.len());
+        }
+
+        let mut slab = InstSlab::new();
+        let mut model: BTreeMap<u64, Entry> = BTreeMap::new();
+        let mut waits: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut removed: Vec<u64> = Vec::new();
+        let alu = || InstMeta::new(Lane::Alu, 0, 1, &Inst::Halt);
+        for seq in 1..38 {
+            slab.insert(dummy(seq), Stage::Frontend, alu());
+            slab.remove(seq).expect("just inserted");
+            removed.push(seq);
+        }
+        let pinned = 38;
+        let pinned_done = 1_000_000;
+        slab.insert(dummy(pinned), Stage::Frontend, alu());
+        slab.bind_deps(pinned, [NO_DEP; 2], [NO_DEP; 2]);
+        assert_eq!(slab.pop_ready(&[1; 3]), Some(pinned));
+        slab.start_exec(pinned, pinned_done);
+        model.insert(
+            pinned,
+            Entry {
+                stage: Stage::Exec { done: pinned_done },
+                lane: Lane::Alu,
+                deps: [NO_DEP; 2],
+                pred_deps: [NO_DEP; 2],
+            },
+        );
+
+        // One seq per cycle. Even seqs read the previous seq, every fifth
+        // seq's predicate reads the pinned one, and a completed seq is
+        // removed once six younger completions wait behind it, picked
+        // out of order.
+        let mut completed: Vec<u64> = Vec::new();
+        let mut cap = slab.ring().1;
+        let mut growths = 0;
+        let end = pinned + 1 + 12_000;
+        for seq in pinned + 1..end {
+            let now = seq;
+            let lane = lane_of((seq % 3) as u8);
+            slab.insert(
+                dummy(seq),
+                Stage::Frontend,
+                InstMeta::new(lane, 0, 1, &Inst::Halt),
+            );
+            let deps = [if seq % 2 == 0 { seq - 1 } else { NO_DEP }, NO_DEP];
+            let pred_deps = [if seq % 5 == 0 { pinned } else { NO_DEP }, NO_DEP];
+            for d in [deps[0], pred_deps[0]] {
+                if model.get(&d).is_some_and(|e| e.stage != Stage::Done) {
+                    waits.entry(d).or_default().insert(0, seq);
+                }
+            }
+            slab.bind_deps(seq, deps, pred_deps);
+            model.insert(
+                seq,
+                Entry {
+                    stage: Stage::InIq,
+                    lane,
+                    deps,
+                    pred_deps,
+                },
+            );
+            while let Some(s) = slab.pop_ready(&[u32::MAX; 3]) {
+                slab.start_exec(s, now + 3);
+                model.get_mut(&s).expect("issued seq is live").stage =
+                    Stage::Exec { done: now + 3 };
+            }
+            while let Some(s) = slab.pop_completed(now) {
+                slab.wake_consumers(s);
+                model.get_mut(&s).expect("completed seq is live").stage = Stage::Done;
+                waits.remove(&s);
+                completed.push(s);
+            }
+            if completed.len() > 6 {
+                let s = completed.swap_remove(seq as usize % completed.len());
+                slab.remove(s).expect("completed seq is live");
+                model.remove(&s);
+                removed.push(s);
+            }
+            if slab.ring().1 != cap {
+                cap = slab.ring().1;
+                growths += 1;
+                check(&slab, &model, &waits, &removed);
+            }
+        }
+        assert_eq!(growths, 8, "the ring grew from 64 to {cap} slots");
+        assert_eq!(slab.base, pinned, "the pinned entry held the span's base");
+        check(&slab, &model, &waits, &removed);
+
+        // The pinned entry completes, last, and wakes its consumers
+        // across the grown ring; then everything drains.
+        let mut last = None;
+        while let Some(s) = slab.pop_completed(pinned_done) {
+            slab.wake_consumers(s);
+            model.get_mut(&s).expect("completed seq is live").stage = Stage::Done;
+            waits.remove(&s);
+            last = Some(s);
+        }
+        assert_eq!(last, Some(pinned));
+        check(&slab, &model, &waits, &removed);
+        for &s in model.keys() {
+            slab.remove(s).expect("model says live");
+        }
+        assert_eq!((slab.live(), slab.len, slab.base), (0, 0, end));
+    }
+
     proptest! {
         /// Under random allocate/retire/squash/dispatch/issue/complete
         /// interleavings the slab stays equivalent to a reference HashMap
@@ -604,8 +814,9 @@ mod tests {
         /// seq order (skipping entries that left the IQ and keeping held
         /// ones queued), completes exactly the model's executing entries
         /// that are due (skipping events of removed or restaged seqs),
-        /// reclaims its dead prefix eagerly (storage bounded by the live
-        /// window), and never resurrects a removed seq.
+        /// reclaims its dead prefix eagerly (the span runs from the oldest
+        /// live seq to the newest allocated one), and never resurrects a
+        /// removed seq.
         #[test]
         fn slab_matches_hashmap_model(ops in prop::collection::vec(op(), 0..300)) {
             let mut slab = InstSlab::new();
@@ -732,13 +943,16 @@ mod tests {
                     prop_assert_eq!(slab.stage(s), None);
                     prop_assert!(slab.meta(s).is_none());
                 }
-                // Eager prefix reclamation: storage spans exactly
-                // [oldest live, newest allocated] — empty when drained.
-                prop_assert_eq!(slab.base + slab.slots.len() as u64, next_seq);
+                // Eager prefix reclamation: the span is exactly
+                // [oldest live, newest allocated] — empty when drained —
+                // and fits the power-of-two ring.
+                prop_assert_eq!(slab.base + slab.len as u64, next_seq);
                 match model.keys().min() {
                     Some(&oldest) => prop_assert_eq!(slab.base, oldest),
-                    None => prop_assert_eq!(slab.slots.len(), 0),
+                    None => prop_assert_eq!(slab.len, 0),
                 }
+                let (span, cap) = slab.ring();
+                prop_assert!(span <= cap && (cap == 0 || cap.is_power_of_two()));
             }
         }
     }

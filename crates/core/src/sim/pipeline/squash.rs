@@ -105,9 +105,12 @@ impl<E: PreExecEngine> Pipeline<E> {
                     self.ctx.release_resources(tid, &r);
                 }
             }
-            self.ctx.threads[tid].loads.clear();
-            self.ctx.threads[tid].stores.clear();
-            self.ctx.threads[tid].frontend = 0;
+            let t = &mut self.ctx.threads[tid];
+            t.tombstones = 0;
+            t.done.clear();
+            t.loads.clear();
+            t.stores.clear();
+            t.frontend = 0;
         }
         self.ctx.store_cache.clear();
         self.ctx.apply_partition(if self.ctx.partition_only {
@@ -151,8 +154,9 @@ impl SimContext {
         let cut = self.threads[tid].rob.partition_point(|&s| s < from);
         for i in cut..self.threads[tid].rob.len() {
             let s = self.threads[tid].rob[i];
-            if let Some(r) = self.insts.remove(s) {
-                self.release_resources(tid, &r);
+            match self.insts.remove(s) {
+                Some(r) => self.release_resources(tid, &r),
+                None => self.threads[tid].tombstones -= 1,
             }
         }
         self.threads[tid].rob.truncate(cut);

@@ -186,8 +186,10 @@ pub trait PreExecEngine {
     /// Pre-execution was terminated (cleanup).
     fn on_terminated(&mut self);
 
-    /// Whether side threads retire loosely (free resources at execute,
-    /// no program-order retire) — used by Branch Runahead chains.
+    /// Whether side threads retire loosely: each retires its oldest
+    /// `Done` instructions, in no program order — used by Branch Runahead
+    /// chains. [`Pipeline::new`](crate::sim::Pipeline::new) reads this
+    /// once, at construction.
     fn loose_retire(&self) -> bool {
         false
     }

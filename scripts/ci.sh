@@ -101,6 +101,22 @@ diff -r results/ci "$fig_out" || {
     exit 1; }
 rm -rf "$fig_out"
 
+echo "==> figure binaries (all ten, default scale, cold cache, diff vs results/*.txt)"
+# The same binaries at their default region and epoch must print exactly
+# the committed results/<bin>.txt, the numbers EXPERIMENTS.md quotes.
+fig_out=$(mktemp -d)
+./scripts/figures.sh "$fig_out" default
+for f in "$fig_out"/*.txt; do
+    diff "results/$(basename "$f")" "$f" || {
+        rm -rf "$fig_out"
+        echo "ci.sh: default-scale $(basename "$f") differs from results/ (diff above)." >&2
+        echo "ci.sh: if the change is meant to move these numbers, regenerate" \
+            "them with ./scripts/figures.sh results default and give the reason" \
+            "in CHANGES.md." >&2
+        exit 1; }
+done
+rm -rf "$fig_out"
+
 echo "==> serve smoke test (daemon on ephemeral port: stream, dedup, drain)"
 cargo build --release -q -p phelps-serve --bin phelps-serve
 serve_cache=$(mktemp -d)
