@@ -104,7 +104,6 @@ fn main() {
             let telemetry = merged_out.as_ref().map(|_| tlm::Config {
                 epoch_len: epoch_len(),
                 label: format!("simpoints/{name}/{mode_label}"),
-                ..tlm::Config::default()
             });
             let run = run_simpoints_with(
                 name,

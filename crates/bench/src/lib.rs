@@ -38,10 +38,10 @@
 #![warn(missing_debug_implementations)]
 
 pub mod ckpt_support;
-pub mod exec;
+mod exec;
 pub mod runner;
 pub mod shard;
-pub mod trace;
+mod trace;
 
 use phelps::sim::{Mode, PhelpsFeatures, RunConfig, SimResult};
 use phelps_isa::Cpu;
@@ -78,7 +78,7 @@ fn env_u64(name: &'static str, default: u64) -> u64 {
 }
 
 /// Retired-instruction budget for one run.
-pub fn region_len() -> u64 {
+pub(crate) fn region_len() -> u64 {
     env_u64("PHELPS_REGION", 2_000_000)
 }
 
@@ -87,10 +87,10 @@ pub fn epoch_len() -> u64 {
     env_u64("PHELPS_EPOCH", 150_000)
 }
 
-/// The result-cache directory shared by the batch runner and the
-/// daemon: `PHELPS_CACHE_DIR`, defaulting to `results/cache`; `None`
-/// when `PHELPS_NO_CACHE` is set to anything but `0`.
-pub fn cache_dir_from_env() -> Option<std::path::PathBuf> {
+/// The runner's result-cache directory: `PHELPS_CACHE_DIR`, defaulting
+/// to `results/cache`; `None` when `PHELPS_NO_CACHE` is set to anything
+/// but `0`.
+pub(crate) fn cache_dir_from_env() -> Option<std::path::PathBuf> {
     if std::env::var("PHELPS_NO_CACHE").is_ok_and(|v| v != "0") {
         return None;
     }

@@ -12,19 +12,14 @@
 //!
 //! # Concurrency
 //!
-//! The cache directory is shared: parallel runner workers, multiple
-//! figure binaries, and every tenant of the `phelps-serve` daemon read
-//! and write it concurrently. Two mechanisms keep that safe:
-//!
-//! * [`store`] writes to a unique temporary file and renames it into
-//!   place (the same pattern as `phelps-ckpt`'s `CheckpointStore`), so a
-//!   concurrent [`load`] never observes a torn write — it sees either
-//!   the old complete file or the new complete file.
-//! * [`key_locks`] is a process-wide per-fingerprint lock table. Callers
-//!   computing a cell hold its key lock across the load → simulate →
-//!   store sequence, so two threads racing on the *same* cell produce
-//!   one simulation, one write, and one cache hit instead of duplicate
-//!   work (`phelps_bench::exec` wires this up for both front doors).
+//! The cache directory is shared by parallel runner workers and by
+//! figure binaries running at once. [`store`] writes to a unique
+//! temporary file and renames it into place (the same pattern as
+//! `phelps-ckpt`'s `CheckpointStore`), so a concurrent [`load`] never
+//! observes a torn write: it sees either the old complete file or the
+//! new complete file. Nothing locks a fingerprint. Each figure binary
+//! runs one matrix and no two of its cells share a name, so no two
+//! threads of one process compute the same cell.
 //!
 //! Telemetry reports are *not* cached: they are large and only wanted
 //! under `PHELPS_TRACE`, which disables cache reads entirely.
@@ -32,12 +27,10 @@
 //! [`RunConfig`]: phelps::sim::RunConfig
 
 use phelps::sim::SimResult;
-use phelps_telemetry::{parse_json, JsonValue, JsonWriter};
+use phelps_telemetry::{parse_json, JsonWriter};
 use phelps_uarch::stats::SimStats;
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
 
 /// 64-bit FNV-1a; stable across platforms and good enough to name files
 /// (correctness never depends on it thanks to the embedded fingerprint).
@@ -68,25 +61,19 @@ pub(super) fn to_json(fingerprint: &str, r: &SimResult) -> String {
     w.finish()
 }
 
-/// Reconstructs a [`SimResult`] from a parsed JSON object whose
-/// `"stats"` member was written by [`SimStats::write_json`]. Shared by
-/// the cache loader and the `phelps-serve` `result` frame, so a cached
-/// cell and a streamed result decode the same way.
-pub fn result_from_body(v: &JsonValue) -> Option<SimResult> {
+/// Reads a body [`to_json`] wrote for `fingerprint`; `None` when the
+/// text is not JSON, names another fingerprint, or lacks a counter.
+fn parse_cell(text: &str, fingerprint: &str) -> Option<SimResult> {
+    let v = parse_json(text).ok()?;
+    if v.get("fingerprint")?.as_str()? != fingerprint {
+        return None; // hash collision or stale schema
+    }
     Some(SimResult {
         stats: SimStats::from_json(v.get("stats")?)?,
         telemetry: None,
         retire_log: None,
         final_state: None,
     })
-}
-
-fn parse_cell(text: &str, fingerprint: &str) -> Option<SimResult> {
-    let v = parse_json(text).ok()?;
-    if v.get("fingerprint")?.as_str()? != fingerprint {
-        return None; // hash collision or stale schema
-    }
-    result_from_body(&v)
 }
 
 /// Attempts to load a cached result. Any failure — missing file, corrupt
@@ -107,9 +94,8 @@ pub fn load(dir: &Path, fingerprint: &str) -> Option<SimResult> {
 
 /// Persists one cell result; errors are reported but non-fatal (the
 /// in-memory result is still used). The write goes to a unique temporary
-/// file first and is renamed into place, so concurrent readers — other
-/// runner workers, other processes, daemon tenants — never see a torn
-/// file.
+/// file first and is renamed into place, so concurrent readers (other
+/// runner workers, other processes) never see a torn file.
 pub fn store(dir: &Path, fingerprint: &str, r: &SimResult) {
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let path = cell_path(dir, fingerprint);
@@ -126,66 +112,6 @@ pub fn store(dir: &Path, fingerprint: &str, r: &SimResult) {
     if let Err(e) = res {
         eprintln!("warning: cannot write cache file {}: {e}", path.display());
     }
-}
-
-/// A process-wide per-key lock table: at most one thread holds any given
-/// key at a time; others block until it is released. Keys are cell
-/// fingerprints, so two tenants racing to compute the same cell
-/// serialize — the loser re-checks the cache after the winner's store
-/// and hits instead of re-simulating (see `phelps_bench::exec`).
-#[derive(Debug, Default)]
-pub struct KeyLocks {
-    held: Mutex<HashSet<String>>,
-    released: Condvar,
-}
-
-impl KeyLocks {
-    /// An empty lock table.
-    pub fn new() -> KeyLocks {
-        KeyLocks::default()
-    }
-
-    /// Acquires `key`, blocking while another thread holds it. The key is
-    /// released when the returned guard drops.
-    pub fn lock(&self, key: &str) -> KeyGuard<'_> {
-        let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
-        while held.contains(key) {
-            held = self.released.wait(held).unwrap_or_else(|e| e.into_inner());
-        }
-        held.insert(key.to_string());
-        KeyGuard {
-            locks: self,
-            key: key.to_string(),
-        }
-    }
-}
-
-/// Holds one key in a [`KeyLocks`] table; releases (and wakes waiters) on
-/// drop.
-#[derive(Debug)]
-pub struct KeyGuard<'a> {
-    locks: &'a KeyLocks,
-    key: String,
-}
-
-impl Drop for KeyGuard<'_> {
-    fn drop(&mut self) {
-        self.locks
-            .held
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&self.key);
-        self.locks.released.notify_all();
-    }
-}
-
-/// The process-global lock table guarding cache cells. Every front door
-/// (the parallel runner, the `phelps-serve` worker pool) routes cell
-/// execution through these locks, so identical cells never compute twice
-/// within one process regardless of which API submitted them.
-pub fn key_locks() -> &'static KeyLocks {
-    static LOCKS: OnceLock<KeyLocks> = OnceLock::new();
-    LOCKS.get_or_init(KeyLocks::new)
 }
 
 #[cfg(test)]
@@ -252,39 +178,5 @@ mod tests {
         assert!(names[0].ends_with(".json"));
         assert!(load(&dir, "fp").is_some());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn key_locks_serialize_same_key() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let locks = KeyLocks::new();
-        let inside = AtomicUsize::new(0);
-        let max_inside = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..50 {
-                        let _g = locks.lock("same-key");
-                        let n = inside.fetch_add(1, Ordering::SeqCst) + 1;
-                        max_inside.fetch_max(n, Ordering::SeqCst);
-                        std::thread::yield_now();
-                        inside.fetch_sub(1, Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            max_inside.load(Ordering::SeqCst),
-            1,
-            "mutual exclusion per key"
-        );
-    }
-
-    #[test]
-    fn key_locks_distinct_keys_do_not_block() {
-        let locks = KeyLocks::new();
-        let _a = locks.lock("a");
-        // Same thread: would deadlock if "b" contended with "a".
-        let _b = locks.lock("b");
     }
 }

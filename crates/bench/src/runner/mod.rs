@@ -16,6 +16,9 @@
 //!   `PHELPS_TRACE` telemetry files are byte-identical regardless of the
 //!   worker count.
 //!
+//! [`Experiment::run`] is the one place a cell is loaded from the cache,
+//! simulated, stored and traced.
+//!
 //! Telemetry registries are installed per worker *thread-locally*, so
 //! parallel cells never mix their counters; the harvested reports ride
 //! back on each [`SimResult`] and are appended to the trace output in
@@ -23,7 +26,7 @@
 
 pub mod cache;
 
-use crate::exec::{execute_cell_prepared, run_indexed, CellRequest, ExecPolicy};
+use crate::exec::run_indexed;
 use crate::{exp_config, trace};
 use phelps::sim::{simulate, simulate_corun_pair, Mode, RunConfig, SimResult};
 use phelps_isa::Cpu;
@@ -388,11 +391,7 @@ impl Experiment {
         }
 
         let want_telemetry = self.force_telemetry || trace::path().is_some();
-        // Telemetry reports are never cached, so a traced run must
-        // simulate every cell; it still refreshes the cache on the way.
-        let read_cache = self.use_cache && !want_telemetry;
-        let write_cache = self.use_cache;
-        let cache_dir = self.cache_dir.as_deref().filter(|_| write_cache);
+        let cache_dir = self.cache_dir.as_deref().filter(|_| self.use_cache);
         if let Some(dir) = cache_dir {
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("warning: cannot create {}: {e}", dir.display());
@@ -404,8 +403,8 @@ impl Experiment {
             kept.into_iter().map(|c| Mutex::new(Some(c))).collect();
         let epoch_len = crate::epoch_len();
 
-        // Every kept cell goes through the shared execution path (cache +
-        // locks + telemetry); the pool returns outcomes in index order,
+        // Each kept cell is loaded from the cache, or simulated and
+        // stored. The pool returns the outcomes in index order,
         // independent of the worker count.
         let cells: Vec<CellResult> = run_indexed(slots.len(), jobs, |i| {
             let cell = slots[i]
@@ -413,45 +412,44 @@ impl Experiment {
                 .unwrap_or_else(|e| e.into_inner())
                 .take()
                 .expect("each cell is taken exactly once");
-            let req = CellRequest {
-                experiment: self.name.clone(),
-                workload: cell.workload.clone(),
-                config: cell.config.clone(),
-                key: cell.key,
-            };
-            let policy = ExecPolicy {
-                cache_dir: cache_dir.map(std::path::Path::to_path_buf),
-                read_cache,
-                write_cache,
-                telemetry: want_telemetry.then(|| tlm::Config {
+            let fingerprint = format!(
+                "{}|{}|{}|{}|v{}",
+                self.name,
+                cell.workload,
+                cell.config,
+                cell.key,
+                env!("CARGO_PKG_VERSION")
+            );
+            // Telemetry reports are never cached, so a traced run must
+            // simulate every cell; it still refreshes the cache on the way.
+            let cached = cache_dir
+                .filter(|_| !want_telemetry)
+                .and_then(|dir| cache::load(dir, &fingerprint));
+            let from_cache = cached.is_some();
+            let result = cached.or_else(|| {
+                let telemetry = want_telemetry.then(|| tlm::Config {
                     epoch_len,
                     label: format!("{}/{}", cell.workload, cell.config),
-                    ..tlm::Config::default()
-                }),
-            };
-            let outcome = execute_cell_prepared(&req, &policy, cell.job);
+                });
+                let result = (cell.job)(telemetry);
+                if let (Some(dir), Some(r)) = (cache_dir, result.as_ref()) {
+                    cache::store(dir, &fingerprint, r);
+                }
+                result
+            });
             CellResult {
                 workload: cell.workload,
                 config: cell.config,
-                result: outcome.result,
-                from_cache: outcome.from_cache,
+                result,
+                from_cache,
             }
         });
         // Submission-ordered trace output: identical files for any
-        // PHELPS_JOBS value. The cells are walked in declaration order
-        // after the pool drained, so reserve/submit pairs are already
-        // contiguous; the shared sink is what keeps daemon-submitted
-        // cells (which reserve at queue-pop time) interleaved correctly.
+        // PHELPS_JOBS value. A cache hit carries no report.
         if let Some(sink) = trace::global() {
             for c in &cells {
-                if let Some(rep) = c.result.as_ref().and_then(|r| {
-                    if c.from_cache {
-                        None
-                    } else {
-                        r.telemetry.as_deref()
-                    }
-                }) {
-                    sink.submit(sink.reserve(), rep.clone());
+                if let Some(rep) = c.result.as_ref().and_then(|r| r.telemetry.as_deref()) {
+                    sink.push(rep.clone());
                 }
             }
         }

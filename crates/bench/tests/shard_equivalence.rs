@@ -54,7 +54,6 @@ fn telemetry(label: &str) -> tlm::Config {
     tlm::Config {
         epoch_len: 5_000,
         label: label.to_string(),
-        ..tlm::Config::default()
     }
 }
 

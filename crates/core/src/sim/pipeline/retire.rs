@@ -38,13 +38,11 @@ impl<E: PreExecEngine> Pipeline<E> {
             let Some(&seq) = self.ctx.threads[MT].rob.front() else {
                 return;
             };
-            match self.ctx.insts.stage(seq) {
-                None => {
-                    self.ctx.threads[MT].rob.pop_front();
-                    continue;
-                }
-                Some(Stage::Done) => {}
-                Some(_) => return,
+            // A seq leaves the MT ROB when it leaves flight, so the
+            // front is always live.
+            match self.ctx.insts.stage(seq).expect("MT ROB seqs are live") {
+                Stage::Done => {}
+                _ => return,
             }
             let r = self.ctx.insts.remove(seq).expect("present");
             self.ctx.threads[MT].rob.pop_front();
@@ -155,13 +153,11 @@ impl<E: PreExecEngine> Pipeline<E> {
             let Some(&seq) = self.ctx.threads[tid].rob.front() else {
                 return;
             };
-            match self.ctx.insts.stage(seq) {
-                None => {
-                    self.ctx.threads[tid].rob.pop_front();
-                    continue;
-                }
-                Some(Stage::Done) => {}
-                Some(_) => return,
+            // Strict retire leaves no tombstones: a seq leaves this ROB
+            // when it leaves flight, so the front is always live.
+            match self.ctx.insts.stage(seq).expect("strict ROB seqs are live") {
+                Stage::Done => {}
+                _ => return,
             }
             let r = self.ctx.insts.remove(seq).expect("present");
             self.ctx.threads[tid].rob.pop_front();

@@ -40,10 +40,9 @@ impl<E: PreExecEngine> Pipeline<E> {
         let mut recs: Vec<ExecRecord> = Vec::with_capacity(n_squashed);
         for i in cut..self.ctx.threads[MT].rob.len() {
             let s = self.ctx.threads[MT].rob[i];
-            if let Some(r) = self.ctx.insts.remove(s) {
-                self.ctx.release_resources(MT, &r);
-                recs.push(r.di.rec);
-            }
+            let r = self.ctx.insts.remove(s).expect("MT ROB seqs are live");
+            self.ctx.release_resources(MT, &r);
+            recs.push(r.di.rec);
         }
         self.ctx.threads[MT].rob.truncate(cut);
         self.ctx.threads[MT].truncate_tracked_from(from);

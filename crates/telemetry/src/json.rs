@@ -379,12 +379,6 @@ impl JsonWriter {
         self.out.push_str(&v.to_string());
     }
 
-    /// Writes a boolean value.
-    pub fn bool(&mut self, v: bool) {
-        self.before_value();
-        self.out.push_str(if v { "true" } else { "false" });
-    }
-
     /// Writes a finite float (6 decimal places); NaN/Inf become `null`.
     pub fn float(&mut self, v: f64) {
         self.before_value();
@@ -463,8 +457,8 @@ mod tests {
     }
 
     /// A 64 Ki-deep document is an error, not a stack overflow, on a
-    /// thread with the default 2 MiB stack (the daemon's connection
-    /// threads parse every frame on one).
+    /// thread with the default 2 MiB stack (the runner's worker threads
+    /// parse cache files on one).
     #[test]
     fn deep_nesting_is_an_error_on_a_small_stack() {
         let text = "[".repeat(64 * 1024);
@@ -495,8 +489,6 @@ mod tests {
         w.float(1.5);
         w.float(f64::NAN);
         w.end_array();
-        w.key("flag");
-        w.bool(false);
         w.key("empty_obj");
         w.begin_object();
         w.end_object();
@@ -510,7 +502,6 @@ mod tests {
         let nums = v.get("nums").unwrap().as_array().unwrap();
         assert_eq!(nums.len(), 4);
         assert_eq!(nums[3], JsonValue::Null);
-        assert_eq!(v.get("flag"), Some(&JsonValue::Bool(false)));
         assert_eq!(v.get("empty_obj"), Some(&JsonValue::Object(vec![])));
         assert_eq!(v.get("empty_arr"), Some(&JsonValue::Array(vec![])));
     }

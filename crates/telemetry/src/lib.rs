@@ -43,38 +43,6 @@ pub use report::{EpochSample, Report};
 pub use stats::SimStats;
 
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
-
-/// A live subscription to epoch samples: the callback runs on the
-/// simulating thread, synchronously, the moment each epoch closes —
-/// before the sample is appended to the report. This is how long-running
-/// consumers (the `phelps-serve` daemon) stream epoch series to
-/// clients while the simulation is still in flight instead of waiting
-/// for the export-at-end [`Report`].
-///
-/// The callback MUST NOT call [`retired`]: it runs while the thread's
-/// registry is borrowed, and re-entry would panic. Keep it to channel
-/// sends or lock-free bookkeeping.
-#[derive(Clone)]
-pub struct SampleSink(Arc<dyn Fn(&EpochSample) + Send + Sync>);
-
-impl SampleSink {
-    /// Wraps a callback invoked once per closed epoch.
-    pub fn new(f: impl Fn(&EpochSample) + Send + Sync + 'static) -> SampleSink {
-        SampleSink(Arc::new(f))
-    }
-
-    /// Delivers one sample to the subscriber.
-    pub fn emit(&self, sample: &EpochSample) {
-        (self.0)(sample);
-    }
-}
-
-impl std::fmt::Debug for SampleSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SampleSink")
-    }
-}
 
 /// Configuration for an installed registry.
 #[derive(Clone, Debug)]
@@ -83,8 +51,6 @@ pub struct Config {
     pub epoch_len: u64,
     /// Free-form run label carried into the report (e.g. "fig11/bfs").
     pub label: String,
-    /// Optional live epoch-sample subscription (see [`SampleSink`]).
-    pub epoch_sink: Option<SampleSink>,
 }
 
 impl Default for Config {
@@ -92,7 +58,6 @@ impl Default for Config {
         Config {
             epoch_len: 10_000,
             label: String::new(),
-            epoch_sink: None,
         }
     }
 }
@@ -138,9 +103,6 @@ impl Registry {
             end_cycle: now.cycles,
             stats: now.since(&self.epoch_mark),
         };
-        if let Some(sink) = &self.cfg.epoch_sink {
-            sink.emit(&sample);
-        }
         self.epochs.push(sample);
         self.epoch_mark = now;
         self.epoch_retired = 0;
@@ -338,30 +300,6 @@ mod tests {
         assert!(enabled());
         let rep = harvest(&SimStats::default()).unwrap();
         assert!(rep.epochs.is_empty());
-    }
-
-    #[test]
-    fn epoch_sink_streams_samples_live() {
-        use std::sync::Mutex;
-        drain();
-        let seen: Arc<Mutex<Vec<EpochSample>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink_seen = Arc::clone(&seen);
-        install(Config {
-            epoch_len: 10,
-            epoch_sink: Some(SampleSink::new(move |s| {
-                sink_seen.lock().unwrap().push(s.clone());
-            })),
-            ..Config::default()
-        });
-        let mut s = SimStats::default();
-        retire_n(&mut s, 12);
-        // The sink must observe epochs as they close, not at harvest.
-        assert_eq!(seen.lock().unwrap().len(), 1, "first epoch streamed live");
-        retire_n(&mut s, 13);
-        let rep = harvest(&s).unwrap();
-        // 2 full epochs + 1 flushed partial, all streamed, same contents.
-        assert_eq!(rep.epochs.len(), 3);
-        assert_eq!(*seen.lock().unwrap(), rep.epochs);
     }
 
     #[test]

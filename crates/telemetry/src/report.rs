@@ -30,8 +30,7 @@ impl EpochSample {
 
     /// Writes the sample's fields into the JSON object `w` has open:
     /// `epoch`, `end_cycle` and `stats` (the [`SimStats::write_json`]
-    /// object). The trace export and the serve `epoch` frame share this
-    /// encoding.
+    /// object), as [`Report::to_json`] writes each epoch.
     pub fn write_fields(&self, w: &mut JsonWriter) {
         w.key("epoch");
         w.uint(self.epoch);
@@ -147,7 +146,6 @@ mod tests {
         let mut reg = Registry::new(Config {
             epoch_len: 4,
             label: "unit \"quoted\" label".to_string(),
-            ..Config::default()
         });
         // Drive the registry directly (not via thread-local) so this
         // test is independent of install/harvest state.

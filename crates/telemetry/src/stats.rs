@@ -201,8 +201,8 @@ impl SimStats {
     }
 
     /// Writes the counters as one JSON object keyed by [`SimStats::NAMES`],
-    /// in declaration order. The result cache, the serve wire protocol
-    /// and the telemetry exports all share this encoding.
+    /// in declaration order. The result cache and the telemetry exports
+    /// share this encoding.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         for (name, v) in SimStats::NAMES.iter().zip(self.to_array()) {

@@ -117,49 +117,6 @@ for f in "$fig_out"/*.txt; do
 done
 rm -rf "$fig_out"
 
-echo "==> serve smoke test (daemon on ephemeral port: stream, dedup, drain)"
-cargo build --release -q -p phelps-serve --bin phelps-serve
-serve_cache=$(mktemp -d)
-serve_log=$(mktemp)
-./target/release/phelps-serve serve --addr=127.0.0.1:0 --workers=2 \
-    --cache-dir="$serve_cache" >"$serve_log" 2>&1 &
-serve_pid=$!
-serve_port=""
-for _ in $(seq 1 100); do
-    serve_port=$(sed -n 's/^\[serve\] listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-        "$serve_log")
-    [ -n "$serve_port" ] && break
-    sleep 0.1
-done
-[ -n "$serve_port" ] || {
-    echo "ci.sh: daemon never announced its port" >&2; cat "$serve_log" >&2; exit 1; }
-cold_submit=$(./target/release/phelps-serve submit --port="$serve_port" \
-    --workload=bfs --mode=phelps --region=20000 --epoch=5000)
-echo "$cold_submit" | grep -q '"type":"epoch"' || {
-    echo "ci.sh: cold serve submit streamed no epoch samples" >&2; exit 1; }
-# Each epoch frame carries the epoch's SimStats delta.
-echo "$cold_submit" | grep -q '"type":"epoch".*"stats":{.*"mt_retired":' || {
-    echo "ci.sh: cold serve submit epoch frames carry no SimStats delta" >&2; exit 1; }
-echo "$cold_submit" | grep -q '"type":"result".*"dedup":"simulated"' || {
-    echo "ci.sh: cold serve submit did not simulate" >&2; exit 1; }
-warm_submit=$(./target/release/phelps-serve submit --port="$serve_port" \
-    --workload=bfs --mode=phelps --region=20000 --epoch=5000)
-echo "$warm_submit" | grep -q '"type":"result".*"dedup":"session"' || {
-    echo "ci.sh: warm serve submit was not a dedup hit" >&2; exit 1; }
-echo "$warm_submit" | grep -q '"type":"epoch".*"replay":true' || {
-    echo "ci.sh: warm serve submit replayed no epoch samples" >&2; exit 1; }
-./target/release/phelps-serve shutdown --port="$serve_port" >/dev/null
-# The daemon joins every worker/connection thread before exiting; a
-# nonzero status here means a leaked thread or an unclean drain.
-wait "$serve_pid" || {
-    echo "ci.sh: daemon exited uncleanly" >&2; cat "$serve_log" >&2; exit 1; }
-grep -q '^\[serve\] shutdown clean' "$serve_log" || {
-    echo "ci.sh: daemon never reported a clean shutdown" >&2
-    cat "$serve_log" >&2; exit 1; }
-echo "    cold: $(echo "$cold_submit" | grep -c '"type":"epoch"') epochs streamed;" \
-    "warm: session replay; shutdown clean"
-rm -rf "$serve_cache" "$serve_log"
-
 echo "==> co-run smoke test (idle-peer identity, contended slowdown, fig_corun)"
 # The release-profile co-run invariants: a tenant co-scheduled against a
 # memory-silent peer on unlimited uncore ports is bit-identical to its

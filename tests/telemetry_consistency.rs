@@ -17,7 +17,6 @@ fn install_trace(label: &str) {
     tlm::install(tlm::Config {
         epoch_len: 25_000,
         label: label.to_string(),
-        epoch_sink: None,
     });
 }
 
