@@ -42,33 +42,36 @@ struct EvalRun {
 /// worker counts by construction — the sharded-equals-sequential CI
 /// check diffs two of these files.
 fn merged_json(runs: &[EvalRun]) -> String {
-    let mut j = String::from("{\"schema\":\"phelps-simpoints-merged/4\",\"runs\":[");
-    let mut first = true;
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("schema");
+    w.string("phelps-simpoints-merged/4");
+    w.key("runs");
+    w.begin_array();
     for er in runs {
         let Some(merged) = er.run.merged.as_ref() else {
             continue;
         };
-        if !first {
-            j.push(',');
-        }
-        first = false;
-        let mut stats = JsonWriter::new();
-        merged.stats.write_json(&mut stats);
-        j.push_str(&format!(
-            "{{\"workload\":\"{}\",\"mode\":\"{}\",\"points\":{},\"hmean_ipc\":{:.6},\"stats\":{}",
-            er.workload,
-            er.mode_label,
-            er.run.points.len(),
-            er.run.hmean_ipc,
-            stats.finish()
-        ));
+        w.begin_object();
+        w.key("workload");
+        w.string(er.workload);
+        w.key("mode");
+        w.string(er.mode_label);
+        w.key("points");
+        w.uint(er.run.points.len() as u64);
+        w.key("hmean_ipc");
+        w.float(er.run.hmean_ipc);
+        w.key("stats");
+        merged.stats.write_json(&mut w);
         if let Some(report) = merged.telemetry.as_deref() {
-            j.push_str(&format!(",\"telemetry\":{}", report.to_json()));
+            w.key("telemetry");
+            report.write_json(&mut w);
         }
-        j.push('}');
+        w.end_object();
     }
-    j.push_str("]}");
-    j
+    w.end_array();
+    w.end_object();
+    w.finish()
 }
 
 fn main() {
@@ -99,8 +102,8 @@ fn main() {
     for name in ["astar", "bfs"] {
         for (mode_label, mode) in &modes {
             // A per-(workload, mode) telemetry label so the merged
-            // reports in --merged-out are distinguishable; installed per
-            // shard by the engine, after checkpoint positioning.
+            // reports in --merged-out are distinguishable; each point's
+            // pipeline records its own timed region.
             let telemetry = merged_out.as_ref().map(|_| tlm::Config {
                 epoch_len: epoch_len(),
                 label: format!("simpoints/{name}/{mode_label}"),

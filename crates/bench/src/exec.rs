@@ -6,9 +6,7 @@
 ///
 /// Work is claimed from an atomic index, so any worker count yields the
 /// same index→result mapping; with `workers == 1` the indices execute
-/// strictly in order. Each worker is a fresh thread, so thread-local
-/// telemetry registries installed by one shard can never leak into
-/// another (or into the caller).
+/// strictly in order.
 pub fn run_indexed<T: Send>(n: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;

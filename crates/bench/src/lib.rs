@@ -23,16 +23,16 @@
 //!
 //! ## Telemetry
 //!
-//! Setting `PHELPS_TRACE=<path>` makes the [`runner`] install a
-//! [`phelps_telemetry`] registry for each simulated cell (thread-local,
-//! so parallel workers never mix epoch series) and write the harvested
-//! reports to `<path>` as one JSON document (`{"runs": [...]}`), plus
-//! the per-epoch series of every run as a sibling CSV, in cell
-//! submission order regardless of the worker count. Each run's series is
-//! its `SimStats`, one delta per epoch of `PHELPS_EPOCH` retired
-//! instructions; see DESIGN.md's telemetry section for the schema.
-//! Tracing forces every cell to simulate (telemetry is never served from
-//! the cache).
+//! Setting `PHELPS_TRACE=<path>` makes the [`runner`] ask each simulated
+//! cell's pipeline to record its epoch series
+//! (`phelps::sim::Pipeline::record_epochs`) and, once every cell is done,
+//! write the reports to `<path>` as one JSON document
+//! (`{"runs": [...]}`), plus the per-epoch series of every run as a
+//! sibling CSV, in cell submission order regardless of the worker count.
+//! Each run's series is its `SimStats`, one delta per epoch of
+//! `PHELPS_EPOCH` retired instructions; see DESIGN.md's telemetry
+//! section for the schema. Tracing forces every cell to simulate
+//! (telemetry is never served from the cache).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -43,9 +43,18 @@ pub mod runner;
 pub mod shard;
 mod trace;
 
-use phelps::sim::{Mode, PhelpsFeatures, RunConfig, SimResult};
+use phelps::sim::{Mode, PhelpsFeatures, Pipeline, PreExecEngine, RunConfig, SimResult};
 use phelps_isa::Cpu;
 use phelps_runahead::BrVariant;
+use phelps_telemetry as tlm;
+
+/// `p`, set to record its epoch series when `telemetry` asks for one.
+fn recording<E: PreExecEngine>(mut p: Pipeline<E>, telemetry: Option<tlm::Config>) -> Pipeline<E> {
+    if let Some(t) = telemetry {
+        p.record_epochs(t);
+    }
+    p
+}
 
 /// Emits `warning: <msg>` once per process per environment-variable
 /// name, so a bad value in a variable consulted many times per run (e.g.
@@ -165,8 +174,8 @@ pub struct SimPointRun {
 /// prototype `cpu` is constructed once by the caller and cloned per use
 /// (profile pass, pre-capture pass, one clone per shard). A region whose
 /// pre-region skip faults is skipped with a warning. `telemetry`, when
-/// set, is installed per shard after checkpoint positioning, so each
-/// registry covers only the timed region.
+/// set, asks each point's pipeline to record its epoch series, so each
+/// report covers only the timed region.
 ///
 /// The output is deterministic in `workers`: shards are independent and
 /// fold in point order, so any worker count yields byte-identical
@@ -180,7 +189,7 @@ pub fn run_simpoints_with(
     spcfg: &phelps_workloads::simpoints::SimPointConfig,
     ckpt: &ckpt_support::CkptPolicy,
     workers: usize,
-    telemetry: Option<&phelps_telemetry::Config>,
+    telemetry: Option<&tlm::Config>,
 ) -> SimPointRun {
     let points = phelps_workloads::simpoints::select_simpoints(cpu.clone(), profile_insts, spcfg);
     let starts: Vec<u64> = points.iter().map(|p| p.start_inst).collect();

@@ -76,20 +76,40 @@ fn parse_cell(text: &str, fingerprint: &str) -> Option<SimResult> {
     })
 }
 
-/// Attempts to load a cached result. Any failure — missing file, corrupt
-/// JSON, fingerprint mismatch — is a miss; corruption additionally warns
+/// Why a [`lookup`] missed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Miss {
+    /// No file: the cell was never stored.
+    Absent,
+    /// A file that cannot be read or is not a body [`store`] wrote for
+    /// this fingerprint: not UTF-8, not JSON, another fingerprint, or a
+    /// missing counter.
+    Corrupt,
+}
+
+/// Looks a fingerprint up without side effects; see [`load`].
+pub fn lookup(dir: &Path, fingerprint: &str) -> Result<SimResult, Miss> {
+    match std::fs::read(cell_path(dir, fingerprint)) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(Miss::Absent),
+        read => read
+            .ok()
+            .and_then(|bytes| parse_cell(std::str::from_utf8(&bytes).ok()?, fingerprint))
+            .ok_or(Miss::Corrupt),
+    }
+}
+
+/// Attempts to load a cached result. Any failure is a miss: an absent
+/// file silently, and a present one that does not decode with a warning,
 /// so silent staleness can't hide.
 pub fn load(dir: &Path, fingerprint: &str) -> Option<SimResult> {
-    let path = cell_path(dir, fingerprint);
-    let text = std::fs::read_to_string(&path).ok()?;
-    let r = parse_cell(&text, fingerprint);
-    if r.is_none() {
+    let r = lookup(dir, fingerprint);
+    if r.as_ref().err() == Some(&Miss::Corrupt) {
         eprintln!(
             "warning: ignoring corrupt or stale cache file {} (treated as a miss)",
-            path.display()
+            cell_path(dir, fingerprint).display()
         );
     }
-    r
+    r.ok()
 }
 
 /// Persists one cell result; errors are reported but non-fatal (the

@@ -19,18 +19,19 @@
 //! [`Experiment::run`] is the one place a cell is loaded from the cache,
 //! simulated, stored and traced.
 //!
-//! Telemetry registries are installed per worker *thread-locally*, so
-//! parallel cells never mix their counters; the harvested reports ride
-//! back on each [`SimResult`] and are appended to the trace output in
-//! submission order.
+//! A traced cell's job hands its recording request to the pipeline it
+//! builds ([`Pipeline::record_epochs`]), so each report describes its own
+//! run whatever thread ran it. The reports ride back on each
+//! [`SimResult`], and once the pool drains the `PHELPS_TRACE` files are
+//! written once, in submission order.
 
 pub mod cache;
 
 use crate::exec::run_indexed;
-use crate::{exp_config, trace};
-use phelps::sim::{simulate, simulate_corun_pair, Mode, RunConfig, SimResult};
+use crate::{exp_config, recording, trace};
+use phelps::sim::{run_corun_pair, Mode, Pipeline, RunConfig, SimResult};
 use phelps_isa::Cpu;
-use phelps_runahead::{simulate_runahead, BrVariant};
+use phelps_runahead::{runahead_pipeline, BrVariant};
 use phelps_telemetry as tlm;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -67,9 +68,8 @@ pub fn parse_cli() -> CliOptions {
 
 /// One unit of work: a (workload, configuration) pair bound to a
 /// simulation thunk and a content fingerprint for caching. The thunk
-/// receives the cell's telemetry config (if tracing is on) and owns its
-/// installation — single-run cells install on the worker thread,
-/// sharded cells forward it to each shard thread.
+/// receives the cell's recording request (`Some` when the cell traces)
+/// and hands it to the pipeline it builds.
 struct Cell {
     workload: String,
     config: String,
@@ -201,8 +201,9 @@ impl Experiment {
         self
     }
 
-    /// Forces per-cell telemetry registries even without `PHELPS_TRACE`
-    /// (the reports ride on the results; no trace file is written).
+    /// Records every simulated cell's epoch series even without
+    /// `PHELPS_TRACE` (the reports ride on the results; no trace file is
+    /// written).
     pub fn telemetry(mut self, on: bool) -> Experiment {
         self.force_telemetry = on;
         self
@@ -216,25 +217,11 @@ impl Experiment {
 
     /// Adds a fully custom cell. `key` must capture everything that
     /// determines the result beyond the workload and config labels
-    /// (typically `format!("{run_config:?}")` plus any extras).
+    /// (typically `format!("{run_config:?}")` plus any extras). `job`
+    /// receives the cell's recording request, `Some` when the cell
+    /// traces, and passes it to [`Pipeline::record_epochs`] on the
+    /// pipeline it runs.
     pub fn cell(
-        &mut self,
-        workload: &str,
-        config: &str,
-        key: String,
-        job: impl FnOnce() -> Option<SimResult> + Send + 'static,
-    ) {
-        self.cell_prepared(workload, config, key, move |tlm_cfg| {
-            if let Some(cfg) = tlm_cfg {
-                tlm::install(cfg);
-            }
-            job()
-        });
-    }
-
-    /// Adds a cell whose job owns telemetry installation (sharded cells
-    /// install per shard thread instead of on the worker).
-    fn cell_prepared(
         &mut self,
         workload: &str,
         config: &str,
@@ -283,11 +270,11 @@ impl Experiment {
         let shards = crate::shard::shard_count();
         if shards > 1 {
             let label = workload.to_string();
-            self.cell_prepared(
+            self.cell(
                 workload,
                 config,
                 format!("{cfg:?}|shards={shards}"),
-                move |tlm_cfg| {
+                move |telemetry| {
                     crate::shard::run_sharded_with(
                         &crate::ckpt_support::CkptPolicy::from_env(),
                         crate::resolved_jobs(),
@@ -295,24 +282,24 @@ impl Experiment {
                         &label,
                         make(),
                         &cfg,
-                        tlm_cfg.as_ref(),
+                        telemetry.as_ref(),
                     )
                 },
             );
         } else {
-            self.cell(workload, config, format!("{cfg:?}"), move || {
-                Some(simulate(make(), &cfg))
+            self.cell(workload, config, format!("{cfg:?}"), move |telemetry| {
+                Some(recording(Pipeline::from_config(make(), &cfg), telemetry).run())
             });
         }
     }
 
     /// Adds a co-run cell: `make()` under `cfg` co-scheduled against a
     /// contending `peer` workload (tenant 1, `make_peer()` under
-    /// `peer_cfg`) on one shared uncore via
-    /// [`phelps::sim::simulate_corun_pair`]. The cell's result is the
-    /// primary tenant's co-run outcome with its attributed share of the
-    /// uncore contention; pair it with a plain solo cell of the same
-    /// (workload, cfg) to read off the interference. The cache key gains
+    /// `peer_cfg`) on one shared uncore via [`run_corun_pair`]. The
+    /// cell's result is the primary tenant's co-run outcome with its
+    /// attributed share of the uncore contention, and only the primary
+    /// records its epoch series; pair it with a plain solo cell of the
+    /// same (workload, cfg) to read off the interference. The cache key gains
     /// a `|corun=<peer>` suffix (plus the peer's full config) — a
     /// different neighbor is a different machine, while the solo cell's
     /// key stays untouched.
@@ -328,8 +315,12 @@ impl Experiment {
         make_peer: impl FnOnce() -> Cpu + Send + 'static,
     ) {
         let key = format!("{cfg:?}|peer={peer_cfg:?}|corun={peer}");
-        self.cell(workload, config, key, move || {
-            let [primary, _] = simulate_corun_pair(make(), &cfg, make_peer(), &peer_cfg);
+        self.cell(workload, config, key, move |telemetry| {
+            let [primary, _] = run_corun_pair(
+                &cfg.core,
+                recording(Pipeline::from_config(make(), &cfg), telemetry),
+                Pipeline::from_config(make_peer(), &peer_cfg),
+            );
             Some(primary)
         });
     }
@@ -347,7 +338,9 @@ impl Experiment {
             workload,
             config,
             format!("{cfg:?}|{variant:?}"),
-            move || Some(simulate_runahead(make(), &cfg, variant)),
+            move |telemetry| {
+                Some(recording(runahead_pipeline(make(), &cfg, variant), telemetry).run())
+            },
         );
     }
 
@@ -390,7 +383,8 @@ impl Experiment {
             }
         }
 
-        let want_telemetry = self.force_telemetry || trace::path().is_some();
+        let trace_path = trace::path();
+        let want_telemetry = self.force_telemetry || trace_path.is_some();
         let cache_dir = self.cache_dir.as_deref().filter(|_| self.use_cache);
         if let Some(dir) = cache_dir {
             if let Err(e) = std::fs::create_dir_all(dir) {
@@ -445,12 +439,14 @@ impl Experiment {
             }
         });
         // Submission-ordered trace output: identical files for any
-        // PHELPS_JOBS value. A cache hit carries no report.
-        if let Some(sink) = trace::global() {
-            for c in &cells {
-                if let Some(rep) = c.result.as_ref().and_then(|r| r.telemetry.as_deref()) {
-                    sink.push(rep.clone());
-                }
+        // PHELPS_JOBS value. A failed cell carries no report.
+        if let Some(path) = trace_path {
+            let runs: Vec<&tlm::Report> = cells
+                .iter()
+                .filter_map(|c| c.result.as_ref()?.telemetry.as_deref())
+                .collect();
+            if !runs.is_empty() {
+                trace::write(&path, &runs);
             }
         }
         let hits = cells.iter().filter(|c| c.from_cache).count();

@@ -16,20 +16,19 @@
 //! region boundary), so its cache fingerprint carries `|shards=N`. The
 //! *worker count* (`PHELPS_JOBS`) is pure execution parallelism and
 //! must never affect the bytes of the merged result: shards are
-//! independent (own CPU clone, own thread-local telemetry registry,
+//! independent (own CPU clone, own pipeline and epoch recorder,
 //! deterministic simulator) and always fold in shard-index order, so
 //! `PHELPS_JOBS=1` and `PHELPS_JOBS=64` produce byte-identical merged
 //! stats and telemetry. CI enforces this (see `scripts/ci.sh`).
 //!
-//! Telemetry install ordering: [`run_shard`] positions the CPU *first*
-//! and installs the shard's registry only for the timed region, so a
-//! shard's report describes the slice it simulated and nothing of how
-//! the CPU got there. Checkpoint work is accounted only in the
+//! A shard's recorder lives in the pipeline that simulates the timed
+//! region, so its report describes the slice it simulated and nothing
+//! of how the CPU got there. Checkpoint work is accounted only in the
 //! process-global `[ckpt]` totals ([`crate::ckpt_support::Totals`]).
 
 use crate::ckpt_support::{self, CkptPolicy};
-use crate::exec;
-use phelps::sim::{simulate, Pipeline, RunConfig, SimResult};
+use crate::{exec, recording};
+use phelps::sim::{Pipeline, RunConfig, SimResult};
 use phelps_isa::{Cpu, EmuError};
 use phelps_telemetry as tlm;
 
@@ -77,11 +76,10 @@ pub fn shard_plan(total: u64, shards: usize) -> Vec<ShardSpec> {
     plan
 }
 
-/// Runs one shard: position at `skip` through the checkpoint store,
-/// install the telemetry registry (after positioning — see the module
-/// docs), and simulate under `cfg`. Used for both whole-run shards and
-/// SimPoint regions; call it on a dedicated thread so the installed
-/// registry stays shard-private.
+/// Runs one shard: position at `skip` through the checkpoint store and
+/// simulate under `cfg`, recording the timed region's epoch series under
+/// `telemetry` when set. Used for both whole-run shards and SimPoint
+/// regions.
 ///
 /// # Errors
 ///
@@ -95,10 +93,7 @@ pub fn run_shard(
     telemetry: Option<&tlm::Config>,
 ) -> Result<SimResult, EmuError> {
     let (cpu, warm) = ckpt_support::region_cpu_with(ckpt, label, cpu, skip)?;
-    if let Some(t) = telemetry {
-        tlm::install(t.clone());
-    }
-    let mut p = Pipeline::from_config(cpu, cfg);
+    let mut p = recording(Pipeline::from_config(cpu, cfg), telemetry.cloned());
     p.warm_microarch(&warm);
     Ok(p.run())
 }
@@ -110,9 +105,8 @@ pub fn run_shard(
 ///
 /// Missing region checkpoints are captured in one pre-pass, so shard
 /// starts restore instead of each fast-forwarding from instruction 0.
-/// With `shards <= 1` this is a plain single-threaded simulation
-/// (telemetry installed on the calling thread), byte-identical to the
-/// historical unsharded path.
+/// With `shards <= 1` this is a plain simulation on the calling thread,
+/// byte-identical to the unsharded path.
 pub fn run_sharded_with(
     ckpt: &CkptPolicy,
     workers: usize,
@@ -124,10 +118,7 @@ pub fn run_sharded_with(
 ) -> Option<SimResult> {
     let plan = shard_plan(cfg.max_mt_insts, shards);
     if plan.len() <= 1 {
-        if let Some(t) = telemetry {
-            tlm::install(t.clone());
-        }
-        return Some(simulate(cpu, cfg));
+        return Some(recording(Pipeline::from_config(cpu, cfg), telemetry.cloned()).run());
     }
     let starts: Vec<u64> = plan.iter().map(|s| s.skip).collect();
     if let Err(e) = ckpt_support::ensure_region_checkpoints_with(ckpt, label, cpu.clone(), &starts)

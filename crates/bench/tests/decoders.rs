@@ -1,10 +1,11 @@
 //! Mutation sweeps over the harness's decoders of untrusted bytes: the
 //! result cache's cell files and the checkpoint files. Every prefix and
 //! every single-byte flip of a valid file must decode to a miss or error
-//! or to a value, never panic.
+//! or to a value, never panic, and a cache file that is present but
+//! does not decode is a warned miss, never a silent one.
 
 use phelps::sim::SimResult;
-use phelps_bench::runner::cache;
+use phelps_bench::runner::cache::{self, Miss};
 use phelps_ckpt::{format, FormatError, RegionKey, Snapshot};
 use phelps_isa::{CpuState, Memory, NUM_REGS};
 use phelps_uarch::stats::SimStats;
@@ -40,30 +41,37 @@ fn mutations(frame: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
     prefixes.chain(flips)
 }
 
-/// The result cache treats every mutated body as a miss or a valid
-/// result, never a panic.
+/// The result cache treats every mutated body as a valid result or a
+/// corrupt file, never a panic; only a file that is not there reads as
+/// absent, the one miss [`cache::load`] does not warn about.
 #[test]
 fn mutated_cache_bodies_load_as_a_miss_or_a_result() {
     let dir = std::env::temp_dir().join(format!("phelps-decoders-sweep-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let fingerprint = "decoders|bfs|phelps|sweep";
+    assert_eq!(cache::lookup(&dir, fingerprint).err(), Some(Miss::Absent));
     cache::store(&dir, fingerprint, &result());
     let path = cache::cell_path(&dir, fingerprint);
     let golden = std::fs::read(&path).unwrap();
     assert!(
-        cache::load(&dir, fingerprint).is_some(),
+        cache::lookup(&dir, fingerprint).is_ok(),
         "the stored body loads"
     );
-    let (mut hits, mut misses) = (0, 0);
-    for m in mutations(&golden) {
+    let (mut hits, mut corrupt, mut absent) = (0, 0, Vec::new());
+    for (i, m) in mutations(&golden).enumerate() {
         std::fs::write(&path, &m).unwrap();
-        match cache::load(&dir, fingerprint) {
-            Some(_) => hits += 1,
-            None => misses += 1,
+        match cache::lookup(&dir, fingerprint) {
+            Ok(_) => hits += 1,
+            Err(Miss::Corrupt) => corrupt += 1,
+            Err(Miss::Absent) => absent.push(i),
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
+    assert!(hits > 0 && corrupt > 0, "hits {hits}, corrupt {corrupt}");
+    assert!(
+        absent.is_empty(),
+        "mutations {absent:?} of a present file read as absent (a silent miss)"
+    );
 }
 
 /// The `"stats"` and `"breakdown"` members of [`result`] as the
@@ -83,8 +91,8 @@ const STALE_BODY: &str = concat!(
 );
 
 /// A cache file in the old shape has no value for the bin counters, so
-/// it loads as a miss (which `cache::load` warns about) rather than as a
-/// result whose bins read zero. The same cell in the current shape hits.
+/// it reads as corrupt (a miss `cache::load` warns about) rather than as
+/// a result whose bins read zero. The same cell in the current shape hits.
 #[test]
 fn stale_cache_body_loads_as_a_miss() {
     let dir = std::env::temp_dir().join(format!("phelps-decoders-stale-{}", std::process::id()));
@@ -96,11 +104,11 @@ fn stale_cache_body_loads_as_a_miss() {
         format!(r#"{{"fingerprint":"{fingerprint}",{STALE_BODY}}}"#),
     )
     .unwrap();
-    let stale = cache::load(&dir, fingerprint);
+    let stale = cache::lookup(&dir, fingerprint);
     cache::store(&dir, fingerprint, &result());
     let fresh = cache::load(&dir, fingerprint);
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(stale.is_none(), "stale body loaded: {stale:?}");
+    assert_eq!(stale.err(), Some(Miss::Corrupt), "stale body loaded");
     assert_eq!(fresh.expect("current body loads").stats, result().stats);
 }
 

@@ -114,7 +114,7 @@ fn corun_results_are_identical_across_worker_counts() {
             let cfg0 = tiny_cfg(Mode::Baseline);
             let cfg1 = tiny_cfg(Mode::Baseline);
             let key = format!("{cfg0:?}|peer={cfg1:?}|corun=astar|tenant={tenant}");
-            exp.cell("bfs", config, key, move || {
+            exp.cell("bfs", config, key, move |_| {
                 let pair = simulate_corun_pair(suite::bfs().cpu, &cfg0, suite::astar().cpu, &cfg1);
                 let [t0, t1] = pair;
                 Some(if tenant == 0 { t0 } else { t1 })

@@ -4,7 +4,7 @@
 //! whole-run checkpoint shards ([`phelps_bench::shard::run_sharded_with`])
 //! and the SimPoint driver ([`phelps_bench::run_simpoints_with`]) — are
 //! run serially and on a parallel pool, and their merged stats *and*
-//! serialized telemetry are compared for exact equality.
+//! telemetry are compared for exact equality.
 //!
 //! Everything here uses explicit policies (scratch checkpoint dirs, an
 //! explicit worker count, an explicit telemetry config) instead of
@@ -57,17 +57,13 @@ fn telemetry(label: &str) -> tlm::Config {
     }
 }
 
-/// Merged results must match exactly: stats structurally, telemetry
-/// down to the serialized bytes (the CI contract).
+/// Merged results must match exactly: stats and telemetry field by
+/// field, so their serializations (the CI contract) match byte for byte.
 fn assert_identical(serial: &SimResult, parallel: &SimResult) {
     assert_eq!(serial.stats, parallel.stats, "merged stats diverged");
     let ser = serial.telemetry.as_deref().expect("serial telemetry");
     let par = parallel.telemetry.as_deref().expect("parallel telemetry");
-    assert_eq!(
-        ser.to_json(),
-        par.to_json(),
-        "merged telemetry bytes diverged"
-    );
+    assert_eq!(ser, par, "merged telemetry diverged");
 }
 
 #[test]

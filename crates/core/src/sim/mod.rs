@@ -5,9 +5,9 @@
 //! branch prediction, partition-only isolation (Fig. 13c), or Phelps with
 //! ablation toggles (Figs. 11/12). [`Pipeline::from_config`] is the one
 //! constructor behind it: callers that also want the retired record
-//! stream or checkpoint warmup build the pipeline there and call
-//! [`Pipeline::record_retires`] / [`Pipeline::warm_microarch`] before
-//! [`Pipeline::run`].
+//! stream, the epoch series or checkpoint warmup build the pipeline there
+//! and call [`Pipeline::record_retires`] / [`Pipeline::record_epochs`] /
+//! [`Pipeline::warm_microarch`] before [`Pipeline::run`].
 //!
 //! The Branch Runahead baseline lives in the `phelps-runahead` crate and
 //! plugs into the same pipeline through [`PreExecEngine`] via
@@ -33,7 +33,6 @@ pub use types::{
 };
 
 use phelps_isa::Cpu;
-use phelps_telemetry as tlm;
 use phelps_uarch::config::CoreConfig;
 use phelps_uarch::mem::Uncore;
 
@@ -77,7 +76,8 @@ impl Pipeline<PhelpsEngine> {
     /// Callers that need more than a plain run call the pipeline's own
     /// methods before [`Pipeline::run`], in this order:
     /// [`Pipeline::record_retires`] to collect the retired record stream
-    /// and final state (differential oracles), then
+    /// and final state (differential oracles) and
+    /// [`Pipeline::record_epochs`] to collect the epoch series, then
     /// [`Pipeline::warm_microarch`] to replay the tail of a checkpoint
     /// restore into the caches and branch predictor. An empty warming
     /// slice leaves the run bit-identical to [`simulate`].
@@ -146,10 +146,7 @@ impl Pipeline<PhelpsEngine> {
 /// DRAM-queue stalls, prefetches) hold that tenant's attributed share
 /// (see [`Uncore::communal`]), so summing the two tenants reproduces the
 /// machine totals. Solo baselines are the caller's: compare against
-/// [`simulate`] of the same (cpu, config). A telemetry registry
-/// installed on the calling thread describes tenant 0 alone: tenant 1
-/// steps [`phelps_telemetry::muted`], and the report rides on tenant 0's
-/// result with epochs that sum to tenant 0's stats.
+/// [`simulate`] of the same (cpu, config).
 pub fn simulate_corun_pair(
     cpu0: Cpu,
     cfg0: &RunConfig,
@@ -164,9 +161,13 @@ pub fn simulate_corun_pair(
 }
 
 /// The co-run driver behind [`simulate_corun_pair`], over two pipelines
-/// the caller built (and, for an oracle, set to
-/// [`Pipeline::record_retires`]). It tags them tenants 0 and 1 and
-/// builds the communal [`Uncore`] from `shared`.
+/// the caller built (and set to [`Pipeline::record_retires`] for an
+/// oracle, or to [`Pipeline::record_epochs`] for a tenant's epoch
+/// series). It tags them tenants 0 and 1 and builds the communal
+/// [`Uncore`] from `shared`. A tenant records exactly when its own
+/// pipeline was asked to; its epochs sum to its own stats, shared-level
+/// fields included, because every snapshot reads the communal uncore's
+/// attribution.
 ///
 /// The driver interleaves the two pipelines cycle-by-cycle in fixed
 /// tenant-id order, swapping the communal uncore into each core around
@@ -191,13 +192,14 @@ pub fn run_corun_pair<E0: PreExecEngine, E1: PreExecEngine>(
             p0.step_shared(&mut uncore);
         }
         if !p1.finished() {
-            tlm::muted(|| p1.step_shared(&mut uncore));
+            p1.step_shared(&mut uncore);
         }
         outer += 1;
     }
-    // Tenant 0 closes first, so it is the one that harvests telemetry.
-    let r0 = p0.finalize_shared(&mut uncore);
-    [r0, p1.finalize_shared(&mut uncore)]
+    [
+        p0.finalize_shared(&mut uncore),
+        p1.finalize_shared(&mut uncore),
+    ]
 }
 
 #[cfg(test)]

@@ -298,8 +298,8 @@ impl ThreadCtx {
 pub struct SimResult {
     /// Counter bundle.
     pub stats: SimStats,
-    /// Harvested telemetry, when a [`phelps_telemetry`] registry was
-    /// installed on this thread before the run (see `PHELPS_TRACE`).
+    /// The run's epoch series, when [`Pipeline::record_epochs`] was
+    /// called before the run. `None` otherwise.
     pub telemetry: Option<Box<tlm::Report>>,
     /// Every main-thread [`ExecRecord`] in retirement order, when
     /// [`Pipeline::record_retires`] was called before the run. `None`
@@ -312,7 +312,7 @@ pub struct SimResult {
 
 impl SimResult {
     /// Folds a later shard's result into this one: stats sum, telemetry
-    /// reports merge (splicing the epoch/event series, see
+    /// reports merge (splicing the epoch series, see
     /// `phelps_telemetry::Report::merge`), and a missing telemetry side
     /// adopts the present one.
     ///
@@ -426,6 +426,9 @@ struct SimContext {
 pub struct Pipeline<E: PreExecEngine> {
     ctx: SimContext,
     engine: Option<E>,
+    /// When `Some`, the epoch recorder fed at every main-thread retire
+    /// (see [`Pipeline::record_epochs`]).
+    epochs: Option<tlm::Registry>,
 }
 
 // Whole simulations must be movable to worker threads: the experiment
@@ -493,7 +496,11 @@ impl<E: PreExecEngine> Pipeline<E> {
         } else {
             ActiveThreads::MainOnly
         });
-        Pipeline { ctx, engine }
+        Pipeline {
+            ctx,
+            engine,
+            epochs: None,
+        }
     }
 
     /// Immutable view of the statistics so far.
@@ -507,6 +514,14 @@ impl<E: PreExecEngine> Pipeline<E> {
     /// `phelps-verify` differential harness; call before [`Pipeline::run`].
     pub fn record_retires(&mut self) {
         self.ctx.retire_log = Some(Vec::new());
+    }
+
+    /// Turns on epoch recording: every `cfg.epoch_len` retired
+    /// main-thread instructions the run samples its [`SimStats`], and
+    /// the series lands on [`SimResult::telemetry`] with epochs that sum
+    /// to the run's stats. Call before [`Pipeline::run`].
+    pub fn record_epochs(&mut self, cfg: tlm::Config) {
+        self.epochs = Some(tlm::Registry::new(cfg));
     }
 
     /// Functionally warms the microarchitectural state from a replayed
@@ -599,8 +614,8 @@ impl<E: PreExecEngine> Pipeline<E> {
     }
 
     /// Closes out a finished run: takes the final counter snapshot,
-    /// harvests the thread's telemetry registry (if any) with it and
-    /// assembles the [`SimResult`].
+    /// closes the epoch series (if recording) with it and assembles the
+    /// [`SimResult`].
     fn finalize(&mut self) -> SimResult {
         assert!(
             self.ctx.finished,
@@ -616,7 +631,10 @@ impl<E: PreExecEngine> Pipeline<E> {
             })
         });
         SimResult {
-            telemetry: tlm::harvest(&self.ctx.stats),
+            telemetry: self
+                .epochs
+                .take()
+                .map(|reg| Box::new(reg.into_report(&self.ctx.stats))),
             stats: self.ctx.stats.clone(),
             retire_log,
             final_state,

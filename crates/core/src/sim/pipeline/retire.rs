@@ -8,7 +8,6 @@ use super::{DynInst, Pipeline, PredFrom, SimContext};
 use crate::classify::MispredictClass;
 use crate::sim::types::{EngineCmd, ExecInfo, PreExecEngine, SideKind, HT_A, HT_B, MT};
 use phelps_isa::Inst;
-use phelps_telemetry as tlm;
 use phelps_uarch::bpred::DirectionPredictor;
 use phelps_uarch::mem::MemRequest;
 use std::cmp::Reverse;
@@ -71,7 +70,9 @@ impl<E: PreExecEngine> Pipeline<E> {
             log.push(rec);
         }
         self.ctx.stats.mt_retired += 1;
-        tlm::retired(|| self.ctx.snapshot());
+        if let Some(epochs) = self.epochs.as_mut() {
+            epochs.retired(|| self.ctx.snapshot());
+        }
 
         // Timing-architectural state.
         if let Some(dst) = rec.inst.dst() {

@@ -5,34 +5,26 @@
 //! # Model
 //!
 //! There is one counter table, [`SimStats`], and the simulator owns it;
-//! the registry never counts on its own. A [`Registry`] is installed per
-//! thread with [`install`]; the one record call, [`retired`], is a free
-//! function that consults a thread-local `enabled` flag first and
-//! returns immediately when no registry is installed. Simulation code
-//! therefore carries no telemetry handles and pays one predictable
-//! branch per retired instruction when tracing is off.
-//!
-//! The thread-local design also gives per-test isolation: `cargo test`
-//! runs tests on separate threads, so concurrent simulations never share
-//! a registry. A driver that steps a second simulation on the same
-//! thread keeps it out of the registry with [`muted`].
-//!
-//! When the simulated run completes, the owner calls [`harvest`] with
-//! the run's final counters to take the finished [`Report`], which
-//! serializes with [`Report::to_json`] (single object) or
-//! [`Report::epochs_csv`] (per-epoch series).
+//! the recorder never counts on its own. A [`Registry`] is a plain value
+//! owned by the run it describes: a pipeline asked to record
+//! (`Pipeline::record_epochs` in `phelps`) holds one, feeds it through
+//! [`Registry::retired`] and finishes it with [`Registry::into_report`].
+//! A run that records nothing holds no registry and pays one `Option`
+//! test per retired instruction. The finished [`Report`] serializes with
+//! [`Report::write_json`] (single object) or [`Report::epochs_csv`]
+//! (per-epoch series).
 //!
 //! # Epochs
 //!
-//! The simulator calls [`retired`] once per retired main-thread
+//! The owner calls [`Registry::retired`] once per retired main-thread
 //! instruction. Every `epoch_len`-th call closes an epoch: the registry
 //! asks for a snapshot of the counters and stores the change since the
-//! previous close as an [`EpochSample`]. [`harvest`] closes a trailing
-//! epoch with whatever the final counters add beyond the last close, so
-//! the epoch deltas sum field by field to the run's `SimStats`. This
-//! gives IPC/MPKI (and every other counter's) time series aligned with
-//! the helper-thread epoch machinery of the simulator, whose epochs are
-//! likewise retirement-counted.
+//! previous close as an [`EpochSample`]. [`Registry::into_report`]
+//! closes a trailing epoch with whatever the final counters add beyond
+//! the last close, so the epoch deltas sum field by field to the run's
+//! `SimStats`. This gives IPC/MPKI (and every other counter's) time
+//! series aligned with the helper-thread epoch machinery of the
+//! simulator, whose epochs are likewise retirement-counted.
 
 mod json;
 mod report;
@@ -42,9 +34,7 @@ pub use json::{parse as parse_json, JsonValue, JsonWriter};
 pub use report::{EpochSample, Report};
 pub use stats::SimStats;
 
-use std::cell::{Cell, RefCell};
-
-/// Configuration for an installed registry.
+/// What a [`Registry`] records and under which label.
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Retired main-thread instructions per telemetry epoch.
@@ -53,17 +43,7 @@ pub struct Config {
     pub label: String,
 }
 
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            epoch_len: 10_000,
-            label: String::new(),
-        }
-    }
-}
-
-/// The per-thread telemetry sink. Usually manipulated through the free
-/// functions; constructed directly only in tests.
+/// The epoch recorder of one run.
 #[derive(Debug)]
 pub struct Registry {
     cfg: Config,
@@ -86,7 +66,13 @@ impl Registry {
         }
     }
 
-    fn retired(&mut self, snapshot: impl FnOnce() -> SimStats) {
+    /// Counts one retired main-thread instruction. Every
+    /// [`Config::epoch_len`]-th call closes an epoch at the counters
+    /// `snapshot` returns, which must be the run's [`SimStats`] as the
+    /// finished run would report them at this instant. `snapshot` is
+    /// only called when an epoch closes.
+    #[inline]
+    pub fn retired(&mut self, snapshot: impl FnOnce() -> SimStats) {
         if self.cfg.epoch_len == 0 {
             return;
         }
@@ -127,118 +113,45 @@ impl Registry {
     }
 }
 
-thread_local! {
-    static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static REGISTRY: RefCell<Option<Box<Registry>>> = const { RefCell::new(None) };
-}
-
-/// Installs a fresh registry for this thread, enabling [`retired`]
-/// until [`harvest`] is called. Replaces (and discards) any registry
-/// already installed.
-pub fn install(cfg: Config) {
-    REGISTRY.with(|r| *r.borrow_mut() = Some(Box::new(Registry::new(cfg))));
-    ENABLED.with(|e| e.set(true));
-}
-
-/// Takes the installed registry, disabling telemetry for this thread,
-/// and returns its report for a run that ended at the counters `end`
-/// (see [`Registry::into_report`]). `None` when nothing is installed.
-pub fn harvest(end: &SimStats) -> Option<Box<Report>> {
-    ENABLED.with(|e| e.set(false));
-    REGISTRY
-        .with(|r| r.borrow_mut().take())
-        .map(|reg| Box::new(reg.into_report(end)))
-}
-
-/// Whether telemetry is currently installed on this thread. This is the
-/// zero-cost guard: a thread-local flag read and one branch.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.with(|e| e.get())
-}
-
-/// Runs `f` with [`retired`] switched off on this thread, then restores
-/// the previous state. A driver that steps two simulations on one thread
-/// (the co-run pair) steps the second this way, so the installed
-/// registry describes the first alone.
-pub fn muted<R>(f: impl FnOnce() -> R) -> R {
-    let was = ENABLED.with(|e| e.replace(false));
-    let out = f();
-    ENABLED.with(|e| e.set(was));
-    out
-}
-
-/// Counts one retired main-thread instruction. Every
-/// [`Config::epoch_len`]-th call closes an epoch at the counters
-/// `snapshot` returns, which must be the run's [`SimStats`] as the
-/// finished run would report them at this instant. `snapshot` is only
-/// called when an epoch closes, and must not call back into telemetry.
-#[inline]
-pub fn retired(snapshot: impl FnOnce() -> SimStats) {
-    if !enabled() {
-        return;
-    }
-    REGISTRY.with(|r| {
-        if let Some(reg) = r.borrow_mut().as_mut() {
-            reg.retired(snapshot);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn drain() {
-        let _ = harvest(&SimStats::default());
+    fn registry(epoch_len: u64) -> Registry {
+        Registry::new(Config {
+            epoch_len,
+            label: String::new(),
+        })
     }
 
-    /// Drives `n` retirements, one per cycle from cycle 1, keeping `s`
-    /// as the simulator's running counters; every fifth instruction
-    /// mispredicts.
-    fn retire_n(s: &mut SimStats, n: u64) {
+    /// Drives `n` retirements into `reg`, one per cycle from cycle 1,
+    /// keeping `s` as the simulator's running counters; every fifth
+    /// instruction mispredicts.
+    fn retire_n(reg: &mut Registry, s: &mut SimStats, n: u64) {
         for _ in 0..n {
             s.cycles += 1;
             s.mt_retired += 1;
             if s.mt_retired.is_multiple_of(5) {
                 s.mt_mispredicts += 1;
             }
-            retired(|| s.clone());
+            reg.retired(|| s.clone());
         }
     }
 
     #[test]
-    fn disabled_is_inert() {
-        drain();
-        assert!(!enabled());
-        retired(|| unreachable!("no registry, no snapshot"));
-        assert!(harvest(&SimStats::default()).is_none());
-    }
-
-    #[test]
     fn zero_epoch_len_records_no_series() {
-        drain();
-        install(Config {
-            epoch_len: 0,
-            ..Config::default()
-        });
-        assert!(enabled());
-        retired(|| unreachable!("epoch_len 0 never closes an epoch"));
-        let rep = harvest(&SimStats::default()).expect("installed");
-        assert!(!enabled());
+        let mut reg = registry(0);
+        reg.retired(|| unreachable!("epoch_len 0 never closes an epoch"));
+        let rep = reg.into_report(&SimStats::default());
         assert!(rep.epochs.is_empty(), "epoch_len 0 records no series");
     }
 
     #[test]
     fn epochs_sample_counter_deltas() {
-        drain();
-        install(Config {
-            epoch_len: 10,
-            ..Config::default()
-        });
+        let mut reg = registry(10);
         let mut s = SimStats::default();
-        retire_n(&mut s, 50);
-        let rep = harvest(&s).unwrap();
+        retire_n(&mut reg, &mut s, 50);
+        let rep = reg.into_report(&s);
         // 50 retired / epoch_len 10 = 5 full epochs; the final counters
         // equal the last close, so no trailing epoch.
         assert_eq!(rep.epochs.len(), 5);
@@ -255,27 +168,20 @@ mod tests {
 
     #[test]
     fn trailing_epoch_holds_the_rest_of_the_run() {
-        drain();
-        install(Config {
-            epoch_len: 10,
-            ..Config::default()
-        });
+        let mut reg = registry(10);
         let mut s = SimStats::default();
-        retire_n(&mut s, 13);
-        let rep = harvest(&s).unwrap();
+        retire_n(&mut reg, &mut s, 13);
+        let rep = reg.into_report(&s);
         assert_eq!(rep.epochs.len(), 2);
         assert_eq!(rep.epochs[1].stats.mt_retired, 3);
 
         // A run that stops on a boundary still flushes what moved after
         // the close (here: the last instruction's store traffic).
-        install(Config {
-            epoch_len: 10,
-            ..Config::default()
-        });
+        let mut reg = registry(10);
         let mut s = SimStats::default();
-        retire_n(&mut s, 10);
+        retire_n(&mut reg, &mut s, 10);
         s.l1d_store_accesses += 1;
-        let rep = harvest(&s).unwrap();
+        let rep = reg.into_report(&s);
         assert_eq!(rep.epochs.len(), 2);
         let tail = &rep.epochs[1].stats;
         assert_eq!((tail.mt_retired, tail.l1d_store_accesses), (0, 1));
@@ -284,35 +190,5 @@ mod tests {
             sum.merge(&e.stats);
         }
         assert_eq!(sum, s, "epoch deltas partition the run");
-    }
-
-    #[test]
-    fn muted_records_nothing_and_restores() {
-        drain();
-        install(Config {
-            epoch_len: 1,
-            ..Config::default()
-        });
-        muted(|| {
-            assert!(!enabled());
-            retired(|| unreachable!("muted: no epoch closes"));
-        });
-        assert!(enabled());
-        let rep = harvest(&SimStats::default()).unwrap();
-        assert!(rep.epochs.is_empty());
-    }
-
-    #[test]
-    fn reinstall_discards_previous() {
-        drain();
-        install(Config {
-            epoch_len: 1,
-            ..Config::default()
-        });
-        let mut s = SimStats::default();
-        retire_n(&mut s, 3);
-        install(Config::default());
-        let rep = harvest(&SimStats::default()).unwrap();
-        assert!(rep.epochs.is_empty());
     }
 }

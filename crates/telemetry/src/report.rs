@@ -30,7 +30,7 @@ impl EpochSample {
 
     /// Writes the sample's fields into the JSON object `w` has open:
     /// `epoch`, `end_cycle` and `stats` (the [`SimStats::write_json`]
-    /// object), as [`Report::to_json`] writes each epoch.
+    /// object), as [`Report::write_json`] writes each epoch.
     pub fn write_fields(&self, w: &mut JsonWriter) {
         w.key("epoch");
         w.uint(self.epoch);
@@ -57,7 +57,7 @@ impl EpochSample {
 /// identity of [`Report::merge`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Report {
-    /// Run label from the installed config.
+    /// Run label from the recording [`crate::Config`].
     pub label: String,
     /// Epoch length (retired instructions) the series was sampled at.
     pub epoch_len: u64,
@@ -99,9 +99,9 @@ impl Report {
         self.final_cycle = cycle_base.saturating_add(other.final_cycle);
     }
 
-    /// Serializes the whole report as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
+    /// Writes the whole report into `w` as one JSON object:
+    /// `{label, epoch_len, final_cycle, epochs}`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("label");
         w.string(&self.label);
@@ -113,12 +113,11 @@ impl Report {
         w.begin_array();
         for e in &self.epochs {
             w.begin_object();
-            e.write_fields(&mut w);
+            e.write_fields(w);
             w.end_object();
         }
         w.end_array();
         w.end_object();
-        w.finish()
     }
 
     /// Serializes the per-epoch series as CSV with a header row:
@@ -147,8 +146,6 @@ mod tests {
             epoch_len: 4,
             label: "unit \"quoted\" label".to_string(),
         });
-        // Drive the registry directly (not via thread-local) so this
-        // test is independent of install/harvest state.
         let mut s = SimStats::default();
         for cycle in 1..=10u64 {
             s.cycles = cycle;
@@ -161,7 +158,9 @@ mod tests {
     #[test]
     fn json_round_trips_through_parser() {
         let rep = sample_report();
-        let text = rep.to_json();
+        let mut w = JsonWriter::new();
+        rep.write_json(&mut w);
+        let text = w.finish();
         let v = parse_json(&text).expect("report JSON must parse");
         assert_eq!(
             v.get("label"),

@@ -65,25 +65,41 @@ case $smoke_out in
 *) echo "ci.sh: warm runner smoke run missed the cache" >&2; exit 1 ;;
 esac
 
-echo "==> traced runner smoke test (same matrix under PHELPS_TRACE, 1 and 2 workers)"
+echo "==> traced runner smoke test (solo and co-run cells under PHELPS_TRACE, 1 and 2 workers)"
 # The trace files are ordered by cell submission and each run's epoch
-# series is its own, so neither file may depend on the worker count.
+# series is its own pipeline's, so neither file may depend on the worker
+# count, and tracing only observes: a traced run prints what an
+# untraced one does. fig_corun's bfs row is two solo and two co-run
+# cells, so its trace must hold exactly four runs.
+cargo build --release -q -p phelps-bench --bin fig_corun
 trace_dir=$(mktemp -d)
-for jobs in 1 2; do
-    PHELPS_JOBS=$jobs PHELPS_REGION=20000 PHELPS_EPOCH=10000 PHELPS_NO_CACHE=1 \
-        PHELPS_TRACE="$trace_dir/jobs$jobs.json" \
-        ./target/release/fig11 --only=BR- >/dev/null
-done
-cmp "$trace_dir/jobs1.json" "$trace_dir/jobs2.json" || {
-    echo "ci.sh: PHELPS_TRACE JSON depends on PHELPS_JOBS" >&2; exit 1; }
-cmp "$trace_dir/jobs1.csv" "$trace_dir/jobs2.csv" || {
-    echo "ci.sh: PHELPS_TRACE CSV depends on PHELPS_JOBS" >&2; exit 1; }
-case $(head -n 1 "$trace_dir/jobs1.csv") in
-label,epoch,end_cycle,cycles,*) ;;
-*) echo "ci.sh: PHELPS_TRACE CSV header is not label,epoch,end_cycle,cycles,..." >&2
-   exit 1 ;;
-esac
-echo "    $(($(wc -l <"$trace_dir/jobs1.csv") - 1)) epoch rows, identical at 1 and 2 workers"
+traced_smoke() { # <binary> <filter> <runs the trace must hold>
+    t="$trace_dir/$1"
+    for jobs in 1 2; do
+        PHELPS_JOBS=$jobs PHELPS_REGION=20000 PHELPS_EPOCH=10000 PHELPS_NO_CACHE=1 \
+            PHELPS_TRACE="$t$jobs.json" "./target/release/$1" "$2" >"$t$jobs.out"
+    done
+    PHELPS_JOBS=2 PHELPS_REGION=20000 PHELPS_EPOCH=10000 PHELPS_NO_CACHE=1 \
+        "./target/release/$1" "$2" >"$t.out"
+    cmp "${t}1.json" "${t}2.json" || {
+        echo "ci.sh: $1 PHELPS_TRACE JSON depends on PHELPS_JOBS" >&2; exit 1; }
+    cmp "${t}1.csv" "${t}2.csv" || {
+        echo "ci.sh: $1 PHELPS_TRACE CSV depends on PHELPS_JOBS" >&2; exit 1; }
+    cmp "$t.out" "${t}2.out" || {
+        echo "ci.sh: $1 prints differently under PHELPS_TRACE" >&2; exit 1; }
+    runs=$(grep -o '"label":' "${t}1.json" | wc -l)
+    [ "$runs" -eq "$3" ] || {
+        echo "ci.sh: $1 $2 traced $runs runs, expected $3" >&2; exit 1; }
+    case $(head -n 1 "${t}1.csv") in
+    label,epoch,end_cycle,cycles,*) ;;
+    *) echo "ci.sh: PHELPS_TRACE CSV header is not label,epoch,end_cycle,cycles,..." >&2
+       exit 1 ;;
+    esac
+    echo "    $1 $2: $runs runs, $(($(wc -l <"${t}1.csv") - 1)) epoch rows," \
+        "identical at 1 and 2 workers; stdout as untraced"
+}
+traced_smoke fig11 --only=BR- 2
+traced_smoke fig_corun --only=bfs/ 4
 rm -rf "$trace_dir"
 
 echo "==> figure binaries (all ten, PHELPS_REGION=100000, cold cache, diff vs results/ci)"
